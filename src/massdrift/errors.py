@@ -39,3 +39,7 @@ class PingPongViolation(MassdriftError):
 
 class BoundednessViolation(MassdriftError):
     """All generators are bounded (elliptic); the escape hypothesis fails."""
+
+
+class NonFiniteProxy(MassdriftError):
+    """A walker's escape proxy overflowed to inf or NaN; no retention verdict is possible."""

@@ -8,14 +8,21 @@ statements become "for every word in the support".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
+from .errors import SpecInvalid
 from .kernel import MarkovModel, back_and_forth
 from .measures import (GeneratorId, Observable, ReferenceWeights, StateId,
                        StepLaw, pair)
 
 GroupElem = Hashable
+
+
+def _require(ok: bool, message: str) -> None:
+    """A check that, unlike ``assert``, still runs under ``python -O``."""
+    if not ok:
+        raise SpecInvalid(message)
 
 
 @dataclass(frozen=True)
@@ -27,13 +34,16 @@ class GroupTable:
     inv: Mapping[GroupElem, GroupElem]
 
     def validate(self) -> None:
-        """Check the group axioms exhaustively."""
+        """Check the group axioms exhaustively; raises SpecInvalid."""
         for g in self.elements:
-            assert self.mult[(self.identity, g)] == g
-            assert self.mult[(g, self.identity)] == g
-            assert self.mult[(g, self.inv[g])] == self.identity
+            _require(self.mult[(self.identity, g)] == g, f"e*{g!r} != {g!r}")
+            _require(self.mult[(g, self.identity)] == g, f"{g!r}*e != {g!r}")
+            _require(self.mult[(g, self.inv[g])] == self.identity,
+                     f"inv[{g!r}] is not an inverse")
         for g, h, k in itertools.product(self.elements, repeat=3):
-            assert self.mult[(self.mult[(g, h)], k)] == self.mult[(g, self.mult[(h, k)])]
+            _require(self.mult[(self.mult[(g, h)], k)] ==
+                     self.mult[(g, self.mult[(h, k)])],
+                     f"({g!r}, {h!r}, {k!r}) breaks associativity")
 
     def product(self, word: Sequence[GroupElem]) -> GroupElem:
         out = self.identity
@@ -74,30 +84,33 @@ class FiniteFiberModel:
     mu: StepLaw
 
     @classmethod
-    def translation(cls, group: GroupTable, mu: StepLaw,
-                    lam_weight: float = 1.0) -> "FiniteFiberModel":
+    def translation(cls, group: GroupTable, mu: StepLaw) -> "FiniteFiberModel":
         """Left-translation action of the group on itself, uniform weight."""
         return cls(group=group,
                    space=group.elements,
                    action=lambda g, x: group.mult[(g, x)],
-                   lam=ReferenceWeights(default=lam_weight),
+                   lam=ReferenceWeights(default=1.0),
                    mu=mu)
 
     def validate(self) -> None:
+        """Check group, action, invariance of lam and the law; raises SpecInvalid."""
         g = self.group
         g.validate()
         for x in self.space:
-            assert self.action(g.identity, x) == x
+            _require(self.action(g.identity, x) == x, f"e moves {x!r}")
         for a, b in itertools.product(g.elements, repeat=2):
             for x in self.space:
-                assert self.action(g.mult[(a, b)], x) == self.action(a, self.action(b, x))
+                _require(self.action(g.mult[(a, b)], x) ==
+                         self.action(a, self.action(b, x)),
+                         f"({a!r}, {b!r}) do not act compatibly at {x!r}")
         # invariance on singletons suffices by additivity
         for a in g.elements:
             for x in self.space:
-                assert abs(self.lam(self.action(a, x)) - self.lam(x)) < 1e-12
+                _require(abs(self.lam(self.action(a, x)) - self.lam(x)) < 1e-12,
+                         f"{a!r} does not preserve lam at {x!r}")
         for gen, _ in self.mu.atoms:
-            assert gen.id in g.elements
-            assert g.inv[gen.id] == gen.inverse_id
+            _require(gen.id in g.elements and g.inv[gen.id] == gen.inverse_id,
+                     f"law atom {gen.id!r} does not match the group")
 
     def word_inverse_prefix(self, letters: Sequence[GroupElem], n: int) -> GroupElem:
         """Product b_n^-1 ... b_1^-1 (leftmost letter is the inverse of b_n)."""

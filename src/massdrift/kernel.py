@@ -28,16 +28,14 @@ class MarkovModel:
     """A truncated countable state space with its walk structure.
 
     Exactly one of ``action`` / ``rows`` is set.  ``boundary`` lists the states
-    at the truncation edge; under the default "absorb" policy, any mass pushed
-    outside the stored states is moved to a sink and reported.
+    at the truncation edge; any mass pushed outside the stored states is moved
+    to an absorbing sink and reported.
     """
     states: Sequence[StateId]
     reference: ReferenceWeights
     action: ActionOracle | None = None
     rows: Mapping[StateId, Mapping[StateId, float]] | None = None
-    row_law: StepLaw | None = None
     boundary: frozenset = frozenset()
-    boundary_policy: str = "absorb"
     reversible_claim: bool = False
     name: str = ""
     index: dict = field(init=False, repr=False)
@@ -46,8 +44,6 @@ class MarkovModel:
     def __post_init__(self):
         if (self.action is None) == (self.rows is None):
             raise ValueError("exactly one of action/rows must be given")
-        if self.boundary_policy not in ("absorb", "reflect"):
-            raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
         self.index = {x: i for i, x in enumerate(self.states)}
         if self.rows is not None:
             for x, row in self.rows.items():
@@ -94,11 +90,8 @@ class MarkovModel:
                 i = self.index[x]
                 for g, w in mu.atoms:
                     y = self.action(g.id, x)
-                    j = self.index.get(y)
-                    if j is None:
-                        j = i if self.boundary_policy == "reflect" else n
                     ri.append(i)
-                    ci.append(j)
+                    ci.append(self.index.get(y, n))
                     data.append(w)
         ri.append(n)
         ci.append(n)

@@ -55,10 +55,6 @@ class StepLaw:
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"step law weights sum to {total}, not 1")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[GeneratorId, float]]) -> "StepLaw":
-        return cls(tuple(pairs))
-
     def weight_of(self, gen_id: Hashable) -> float:
         for g, w in self.atoms:
             if g.id == gen_id:

@@ -4,30 +4,12 @@ from .boole import (BooleOrbitReport, BooleOrbitSpec, boole_map, boole_orbit,
                     preimage_jacobian_sum)
 from .chains import (FunnelChainSpec, build_cycle_model, build_funnel_chain,
                      build_lattice_model, build_two_component_model, cycle_law,
-                     lattice_law, srw_law)
-from .schottky import (SchottkyGroup, SchottkyPoint, schottky_step,
-                       translation_length)
-from .sl2 import Sl2LatticePoint, sl2_reduce, sl2_step
-
-
-def escape_proxy(point) -> float:
-    """Chart-appropriate escape coordinate.
-
-    Lattice chart: shortest vector length (small means deep in the cusp).
-    Schottky chart: distance from the core ball (large means deep in a funnel).
-    """
-    if isinstance(point, Sl2LatticePoint):
-        return point.shortest_len
-    if isinstance(point, SchottkyPoint):
-        return point.core_distance
-    raise TypeError(f"no escape proxy for {type(point).__name__}")
-
+                     srw_law)
+from .schottky import SchottkyGroup, translation_length
 
 __all__ = [
     "BooleOrbitReport", "BooleOrbitSpec", "boole_map", "boole_orbit",
     "preimage_jacobian_sum", "FunnelChainSpec", "build_cycle_model",
     "build_funnel_chain", "build_lattice_model", "build_two_component_model",
-    "cycle_law", "lattice_law", "srw_law", "SchottkyGroup", "SchottkyPoint",
-    "schottky_step", "translation_length", "Sl2LatticePoint", "sl2_reduce",
-    "sl2_step", "escape_proxy",
+    "cycle_law", "srw_law", "SchottkyGroup", "translation_length",
 ]

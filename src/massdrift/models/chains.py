@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from ..errors import SpecInvalid
 from ..kernel import MarkovModel
@@ -23,14 +22,6 @@ def srw_law(d: int = 1) -> StepLaw:
         atoms.append((GeneratorId(f"+e{i + 1}", f"-e{i + 1}"), w))
         atoms.append((GeneratorId(f"-e{i + 1}", f"+e{i + 1}"), w))
     return StepLaw(tuple(atoms))
-
-
-def lattice_law(weights_by_gen: dict) -> StepLaw:
-    """Law on Z^d unit-step generators from a {"+e1": w, ...} mapping."""
-    def inv(gid: str) -> str:
-        return ("-" if gid[0] == "+" else "+") + gid[1:]
-    return StepLaw(tuple(
-        (GeneratorId(g, inv(g)), w) for g, w in weights_by_gen.items()))
 
 
 def build_lattice_model(d: int, radius: int) -> MarkovModel:
@@ -73,17 +64,13 @@ def build_lattice_model(d: int, radius: int) -> MarkovModel:
     )
 
 
-def build_cycle_model(k: int, tag: str | None = None) -> MarkovModel:
+def build_cycle_model(k: int) -> MarkovModel:
     """Z/k with the +-1 translation generators and uniform reference weight."""
-    states = [i if tag is None else (tag, i) for i in range(k)]
-
     def action(gid, x):
-        step = {"+1": 1, "-1": -1, "0": 0}[gid]
-        if tag is None:
-            return (x + step) % k
-        return (tag, (x[1] + step) % k)
+        return (x + {"+1": 1, "-1": -1, "0": 0}[gid]) % k
 
-    return MarkovModel(states=states, reference=ReferenceWeights(default=1.0),
+    return MarkovModel(states=list(range(k)),
+                       reference=ReferenceWeights(default=1.0),
                        action=action, name=f"cycle-{k}")
 
 

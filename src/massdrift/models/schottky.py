@@ -10,7 +10,6 @@ basepoint serves as the escape proxy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,51 +85,6 @@ class SchottkyGroup:
                     raise PingPongViolation(
                         f"isometric disks of {s!r} and {t!r} overlap")
 
-    def core_distance(self, matrix: np.ndarray) -> float:
-        """Distance from the core ball of the image of the basepoint."""
-        d = 2.0 * math.asinh(abs(matrix[0, 1]))
-        return max(0.0, d - self.core_radius)
-
-
-@dataclass(frozen=True)
-class SchottkyPoint:
-    """A freely reduced word with the image of the basepoint under its isometry.
-
-    ``prefix_matrices`` stores the disk-model products of every word prefix so
-    a step is O(1): appending a letter pushes one product, a cancellation pops.
-    """
-    group: SchottkyGroup
-    word: tuple[str, ...]
-    prefix_matrices: tuple
-    position: complex
-    core_distance: float
-
-    @classmethod
-    def basepoint(cls, group: SchottkyGroup | None = None) -> "SchottkyPoint":
-        group = group or SchottkyGroup()
-        return cls(group, (), (), 0.0 + 0.0j, 0.0)
-
-
-def schottky_step(point: SchottkyPoint, letter: str) -> SchottkyPoint:
-    """Append one generator letter (right action) and freely reduce."""
-    if letter not in LETTERS:
-        raise ValueError(f"unknown letter {letter!r}")
-    g = point.group
-    if point.word and point.word[-1] == INVERSE[letter]:
-        word = point.word[:-1]
-        stack = point.prefix_matrices[:-1]
-    else:
-        word = point.word + (letter,)
-        top = point.prefix_matrices[-1] if point.prefix_matrices else np.eye(2, dtype=complex)
-        stack = point.prefix_matrices + (top @ g.disk[letter],)
-    if stack:
-        m = stack[-1]
-        pos = m[0, 1] / m[1, 1]
-        dist = g.core_distance(m)
-    else:
-        pos, dist = 0.0 + 0.0j, 0.0
-    return SchottkyPoint(g, word, stack, complex(pos), dist)
-
 
 def step_batch(mats: np.ndarray, gen_mats: np.ndarray,
                letter_idx: np.ndarray) -> np.ndarray:
@@ -139,5 +93,6 @@ def step_batch(mats: np.ndarray, gen_mats: np.ndarray,
 
 
 def core_distances(group: SchottkyGroup, mats: np.ndarray) -> np.ndarray:
+    """Distance from the core ball of the basepoint's image, per walker matrix."""
     d = 2.0 * np.arcsinh(np.abs(mats[:, 0, 1]))
     return np.maximum(0.0, d - group.core_radius)

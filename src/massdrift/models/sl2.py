@@ -7,69 +7,23 @@ precompact exactly when the shortest length is bounded below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import DegenerateBasis
 
-MAX_REDUCTION_SWAPS = 1000
-DET_TOL = 1e-9
-
-
-def _gauss_reduce(basis: np.ndarray) -> np.ndarray:
-    """Lagrange-Gauss reduction by integer column operations."""
-    b = basis.astype(float).copy()
-    for _ in range(MAX_REDUCTION_SWAPS):
-        n0 = b[0, 0] ** 2 + b[1, 0] ** 2
-        n1 = b[0, 1] ** 2 + b[1, 1] ** 2
-        if n0 > n1:
-            # swap with a sign flip to stay determinant +1
-            b = np.column_stack((b[:, 1], -b[:, 0]))
-            n0 = n1
-        m = round((b[0, 0] * b[0, 1] + b[1, 0] * b[1, 1]) / n0)
-        if m == 0:
-            return b
-        b[:, 1] -= m * b[:, 0]
-    raise DegenerateBasis("column reduction did not terminate")
-
-
-@dataclass(frozen=True)
-class Sl2LatticePoint:
-    """A reduced determinant-one basis with its cached shortest vector length."""
-    basis: np.ndarray
-    shortest_len: float
-
-    @classmethod
-    def from_basis(cls, basis) -> "Sl2LatticePoint":
-        basis = np.asarray(basis, dtype=float)
-        det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
-        if abs(det - 1.0) > DET_TOL:
-            raise ValueError(f"basis determinant {det} is not 1")
-        red = _gauss_reduce(basis)
-        short = float(min(np.linalg.norm(red[:, 0]), np.linalg.norm(red[:, 1])))
-        return cls(red, short)
-
-    @classmethod
-    def identity(cls) -> "Sl2LatticePoint":
-        return cls.from_basis(np.eye(2))
-
-
-def sl2_reduce(point: Sl2LatticePoint) -> Sl2LatticePoint:
-    return Sl2LatticePoint.from_basis(point.basis)
-
-
-def sl2_step(point: Sl2LatticePoint, g) -> Sl2LatticePoint:
-    """Move the lattice by the group element and re-reduce the basis."""
-    g = np.asarray(g, dtype=float)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if abs(det - 1.0) > DET_TOL:
-        raise ValueError(f"step matrix determinant {det} is not 1")
-    return Sl2LatticePoint.from_basis(g @ point.basis)
+#: slack on the Gauss condition |<b0, b1>| <= |b0|^2 / 2 for a basis whose
+#: reduction ends in a rounding tie (see ``reduce_batch``)
+TIE_TOL = 1e-9
 
 
 def reduce_batch(bases: np.ndarray, max_iter: int = 64) -> np.ndarray:
-    """Gauss-reduce a stack of bases (n, 2, 2) in place, vectorized."""
+    """Gauss-reduce a stack of bases (n, 2, 2) in place, vectorized.
+
+    At a tie, dot/n0 within rounding of +-1/2, a step can flip the sign of the
+    ratio without lowering it, and the loop alternates between two bases that
+    are both reduced.  Such a basis is accepted after ``max_iter`` steps; only
+    a basis that still breaks the Gauss condition raises.
+    """
     b = bases
     for _ in range(max_iter):
         n0 = b[:, 0, 0] ** 2 + b[:, 1, 0] ** 2
@@ -83,6 +37,11 @@ def reduce_batch(bases: np.ndarray, max_iter: int = 64) -> np.ndarray:
         if not m.any():
             return b
         b[:, :, 1] -= m[:, None] * b[:, :, 0]
+    n0 = np.minimum(b[:, 0, 0] ** 2 + b[:, 1, 0] ** 2,
+                    b[:, 0, 1] ** 2 + b[:, 1, 1] ** 2)
+    dot = b[:, 0, 0] * b[:, 0, 1] + b[:, 1, 0] * b[:, 1, 1]
+    if np.all(np.abs(dot / n0) <= 0.5 + TIE_TOL):
+        return b
     raise DegenerateBasis("batched reduction did not terminate")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BoundednessViolation
+from .errors import BoundednessViolation, NonFiniteProxy
 from .measures import StepLaw
 from .models.schottky import SchottkyGroup, core_distances, step_batch
 from .models.sl2 import reduce_batch, shortest_lengths
@@ -81,6 +81,7 @@ class RetentionRow:
     wilson_hi: float
     n_walkers: int
     seed: int
+    retained: int       # walkers retained; the fraction is retained / n_walkers
 
     def as_tuple(self) -> tuple:
         return (self.n, self.threshold, self.retained_fraction,
@@ -116,6 +117,13 @@ def wilson_interval(p: float, n: int, z: float = WILSON_Z) -> tuple[float, float
     lo = 0.0 if p == 0.0 else max(0.0, center - half)
     hi = 1.0 if p == 1.0 else min(1.0, center + half)
     return lo, hi
+
+
+def _row(n: int, threshold: float, retained: int, n_walkers: int,
+         seed: int) -> RetentionRow:
+    p = retained / n_walkers
+    lo, hi = wilson_interval(p, n_walkers)
+    return RetentionRow(n, threshold, p, lo, hi, n_walkers, seed, retained)
 
 
 def _spectral_radius(m: np.ndarray) -> float:
@@ -167,12 +175,12 @@ def run_ensemble(spec: EnsembleSpec) -> RetentionCurve:
     rows: list[RetentionRow] = []
 
     def record(n: int, proxies: np.ndarray):
+        # NaN compares False with every threshold: it must not read as escaped
+        if not np.isfinite(proxies).all():
+            raise NonFiniteProxy(f"a walker's escape proxy is not finite at step {n}")
         for thr in spec.proxy_thresholds:
             k = int(np.count_nonzero(_retained(spec, proxies, thr)))
-            p = k / spec.n_walkers
-            lo, hi = wilson_interval(p, spec.n_walkers)
-            rows.append(RetentionRow(n, thr, p, lo, hi, spec.n_walkers,
-                                     spec.master_seed))
+            rows.append(_row(n, thr, k, spec.n_walkers, spec.master_seed))
 
     if spec.chart == "z-lattice":
         pos = np.zeros(spec.n_walkers, dtype=np.int64)
@@ -238,12 +246,7 @@ def split_run(spec: EnsembleSpec, n_first: int) -> RetentionCurve:
     s2 = replace(spec, n_walkers=spec.n_walkers - n_first,
                  walker_offset=spec.walker_offset + n_first)
     c1, c2 = run_ensemble(s1), run_ensemble(s2)
-    rows = []
-    for r1, r2 in zip(c1.rows, c2.rows):
-        k = r1.retained_fraction * r1.n_walkers + r2.retained_fraction * r2.n_walkers
-        n_tot = r1.n_walkers + r2.n_walkers
-        p = k / n_tot
-        lo, hi = wilson_interval(p, n_tot)
-        rows.append(RetentionRow(r1.n, r1.threshold, p, lo, hi, n_tot,
-                                 spec.master_seed))
+    rows = [_row(r1.n, r1.threshold, r1.retained + r2.retained,
+                 spec.n_walkers, spec.master_seed)
+            for r1, r2 in zip(c1.rows, c2.rows)]
     return RetentionCurve(spec, rows)

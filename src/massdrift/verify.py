@@ -6,8 +6,6 @@ boolean verdict, suitable for JSON emission.  The CLI exposes them through
 """
 from __future__ import annotations
 
-import itertools
-
 from . import fibers as fb
 from .errors import InconclusiveAtTruncation
 from .kernel import check_invariant_set

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from massdrift.cli import (CONFIG_SCHEMA, ConfigError, canonical_json,
-                           fnv1a_64, main, run_config, validate_config)
+from massdrift.cli import (CONFIG_SCHEMA, EXPERIMENTS, ConfigError,
+                           canonical_json, fnv1a_64, main, run_config,
+                           validate_config)
 
 
 def evolve_config(tmp_path, **overrides):
@@ -192,9 +193,101 @@ class TestMainEntry:
         assert proc.returncode == 0
         json.loads(proc.stdout)
 
-    def test_thread_cap_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MASSDRIFT_THREADS", "1")
-        cfg = evolve_config(tmp_path)
+
+LINE_LAW = {"atoms": [{"id": "+e1", "inverse": "-e1", "weight": 0.5},
+                      {"id": "-e1", "inverse": "+e1", "weight": 0.5}]}
+
+
+def funnel_config(tmp_path, **model):
+    return {"experiment": "funnel",
+            "model": {"type": "funnel", "tail": ["constant", 1.0], **model},
+            "schedule": {"n_steps": 10},
+            "out": {"csv": str(tmp_path / "out.csv"),
+                    "json": str(tmp_path / "out.json")}}
+
+
+#: name -> (config with one mistake, text the error line must contain)
+CONFIG_MISTAKES = {
+    # a JSON list start on z^2 runs (test_z2_list_start_matches_kernel);
+    # one of the wrong arity is not a state of the model
+    "z2-start-arity": lambda t: (evolve_config(
+        t, model={"type": "z-lattice", "d": 2, "radius": 5},
+        start=[0, 0, 0]), "(0, 0, 0) is not in z2-lattice-r5"),
+    "funnel-tail-arity": lambda t: (funnel_config(
+        t, tail=["geometric", 0.5]), "/model/tail"),
+    "funnel-tail-rule": lambda t: (funnel_config(
+        t, tail=["weird", 1.0]), "/model/tail"),
+    "funnel-zero-neck": lambda t: (funnel_config(
+        t, neck_prefix=[0.0]), "neck length 1 is nonpositive"),
+    "funnel-on-z-lattice": lambda t: ({
+        **funnel_config(t), "model": {"type": "z-lattice", "radius": 5}},
+        "/model/type"),
+    "cycle-without-law": lambda t: ({
+        k: v for k, v in evolve_config(
+            t, model={"type": "cycle", "k": 6}).items() if k != "law"},
+        "needs a law"),
+    "backforth-on-funnel": lambda t: ({
+        **funnel_config(t), "experiment": "backforth", "law": LINE_LAW},
+        "/model/type"),
+    "boole-without-starts": lambda t: ({
+        "experiment": "boole", "schedule": {"n_steps": 10},
+        "out": funnel_config(t)["out"]}, "'starts' is a required property"),
+    "sl2-without-ensemble": lambda t: ({
+        "experiment": "sl2", "law": LINE_LAW, "out": funnel_config(t)["out"]},
+        "'ensemble' is a required property"),
+    "start-outside-line": lambda t: (evolve_config(
+        t, model={"type": "z-lattice", "d": 1, "radius": 5}, start=99),
+        "99 is not in z1-lattice-r5"),
+}
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("mistake", sorted(CONFIG_MISTAKES))
+    def test_config_mistake_exits_one(self, mistake, tmp_path, capsys):
+        cfg, expect = CONFIG_MISTAKES[mistake](tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", str(path)]) == 0
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert expect in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_run_time_failure_exits_two(self, tmp_path, capsys):
+        cfg = evolve_config(tmp_path,
+                            model={"type": "z-lattice", "d": 1, "radius": 2})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TruncationOverflow: ")
+        assert err.count("\n") == 1
+
+    def test_z2_list_start_matches_kernel(self, tmp_path):
+        from massdrift.kernel import evolve
+        from massdrift.models import build_lattice_model, srw_law
+        cfg = evolve_config(
+            tmp_path, model={"type": "z-lattice", "d": 2, "radius": 12},
+            law={"atoms": [
+                {"id": g, "inverse": i, "weight": 0.25}
+                for g, i in (("+e1", "-e1"), ("-e1", "+e1"),
+                             ("+e2", "-e2"), ("-e2", "+e2"))]},
+            start=[0, 0], window=[-1, 1])
+        assert run_config(cfg) == 0
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        series = evolve(build_lattice_model(2, 12), (0, 0), srw_law(2), 8,
+                        snapshot_schedule=[2, 4, 8])
+
+        def box(n):     # the 3x3 window, summed in row-major order
+            return sum(series.snapshot(n).mass_at((i, j))
+                       for i in (-1, 0, 1) for j in (-1, 0, 1))
+        assert rows == [f"{n},-1..1,{box(n)!r}" for n in (2, 4, 8)]
+
+    def test_schema_is_derived_from_the_table(self):
+        names = CONFIG_SCHEMA["properties"]["experiment"]["enum"]
+        assert names == list(EXPERIMENTS)
+        required = {b["if"]["properties"]["experiment"]["const"]:
+                    b["then"]["required"] for b in CONFIG_SCHEMA["allOf"]}
+        assert "starts" in required["boole"]
+        assert "ensemble" in required["sl2"]
+        assert {"model", "law"} <= set(required["backforth"])

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import massdrift
+from massdrift.errors import SpecInvalid
 
 from massdrift.fibers import (FiberWord, FiniteFiberModel, GroupTable,
                               backforth_identity, cyclic_group,
                               klein_four_group, law_on_group,
                               martingale_cauchy, phi_direct, phi_formula,
                               support_words)
-from massdrift.measures import Observable
+from massdrift.measures import GeneratorId, Observable, StepLaw
 
 
 def z2_uniform():
@@ -41,6 +48,32 @@ class TestGroupTables:
     def test_translation_model_validates(self):
         z2_uniform().validate()
         z3_skewed().validate()
+
+    def test_validation_runs_under_optimize(self):
+        """validate() raises, not asserts, so `python -O` still checks."""
+        code = (
+            "from massdrift.errors import SpecInvalid\n"
+            "from massdrift.fibers import GroupTable, cyclic_group\n"
+            "g = cyclic_group(3)\n"
+            "bad = GroupTable(g.elements, g.identity, {**g.mult, (1, 1): 0},"
+            " g.inv)\n"
+            "try:\n"
+            "    bad.validate()\n"
+            "except SpecInvalid:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+        src = str(Path(massdrift.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_mismatched_law_rejected(self):
+        g = cyclic_group(3)
+        m = FiniteFiberModel.translation(g, law_on_group(g, {1: 1.0}))
+        m.mu = StepLaw(((GeneratorId(1, 1), 1.0),))    # inverse of 1 is 2
+        with pytest.raises(SpecInvalid):
+            m.validate()
 
 
 class TestPhiFormula:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,15 +7,108 @@ from hypothesis import given, settings, strategies as st
 
 from massdrift.errors import (DegenerateBasis, PingPongViolation, SpecInvalid)
 from massdrift.kernel import evolve, verify_reversibility
+from massdrift.measures import GeneratorId, StepLaw
 from massdrift.models import (BooleOrbitSpec, FunnelChainSpec, SchottkyGroup,
-                              SchottkyPoint, Sl2LatticePoint, boole_map,
-                              boole_orbit, build_funnel_chain,
-                              build_lattice_model, escape_proxy,
-                              preimage_jacobian_sum, schottky_step, sl2_step,
+                              boole_map, boole_orbit, build_funnel_chain,
+                              build_lattice_model, preimage_jacobian_sum,
                               srw_law)
-from massdrift.models.schottky import (LETTERS, default_generator_matrices,
+from massdrift.models.schottky import (INVERSE, LETTERS, core_distances,
+                                       default_generator_matrices, step_batch,
                                        to_disk, translation_length)
 from massdrift.models.sl2 import reduce_batch, shortest_lengths
+from massdrift.montecarlo import EnsembleSpec, _letters, run_ensemble
+
+
+# -- scalar chart oracles ----------------------------------------------------
+# One point at a time: the library keeps only the batched steps
+# (reduce_batch, step_batch, core_distances), and these check them.
+
+MAX_REDUCTION_SWAPS = 1000
+DET_TOL = 1e-9
+
+
+def _gauss_reduce(basis: np.ndarray) -> np.ndarray:
+    """Lagrange-Gauss reduction by integer column operations."""
+    b = basis.astype(float).copy()
+    for _ in range(MAX_REDUCTION_SWAPS):
+        n0 = b[0, 0] ** 2 + b[1, 0] ** 2
+        n1 = b[0, 1] ** 2 + b[1, 1] ** 2
+        if n0 > n1:
+            # swap with a sign flip to stay determinant +1
+            b = np.column_stack((b[:, 1], -b[:, 0]))
+            n0 = n1
+        m = round((b[0, 0] * b[0, 1] + b[1, 0] * b[1, 1]) / n0)
+        if m == 0:
+            return b
+        b[:, 1] -= m * b[:, 0]
+    raise DegenerateBasis("column reduction did not terminate")
+
+
+@dataclass(frozen=True)
+class Sl2LatticePoint:
+    """A reduced determinant-one basis with its cached shortest vector length."""
+    basis: np.ndarray
+    shortest_len: float
+
+    @classmethod
+    def from_basis(cls, basis) -> "Sl2LatticePoint":
+        basis = np.asarray(basis, dtype=float)
+        det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
+        if abs(det - 1.0) > DET_TOL:
+            raise ValueError(f"basis determinant {det} is not 1")
+        red = _gauss_reduce(basis)
+        short = float(min(np.linalg.norm(red[:, 0]), np.linalg.norm(red[:, 1])))
+        return cls(red, short)
+
+    @classmethod
+    def identity(cls) -> "Sl2LatticePoint":
+        return cls.from_basis(np.eye(2))
+
+
+def sl2_step(point: Sl2LatticePoint, g) -> Sl2LatticePoint:
+    """Move the lattice by the group element and re-reduce the basis."""
+    g = np.asarray(g, dtype=float)
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if abs(det - 1.0) > DET_TOL:
+        raise ValueError(f"step matrix determinant {det} is not 1")
+    return Sl2LatticePoint.from_basis(g @ point.basis)
+
+
+@dataclass(frozen=True)
+class SchottkyPoint:
+    """A freely reduced word with the distance of the basepoint's image from the core.
+
+    ``prefix_matrices`` stores the disk-model products of every word prefix so
+    a step is O(1): appending a letter pushes one product, a cancellation pops.
+    """
+    group: SchottkyGroup
+    word: tuple[str, ...]
+    prefix_matrices: tuple
+    core_distance: float
+
+    @classmethod
+    def basepoint(cls, group: SchottkyGroup | None = None) -> "SchottkyPoint":
+        return cls(group or SchottkyGroup(), (), (), 0.0)
+
+
+def schottky_step(point: SchottkyPoint, letter: str) -> SchottkyPoint:
+    """Append one generator letter (right action) and freely reduce."""
+    g = point.group
+    if point.word and point.word[-1] == INVERSE[letter]:
+        word = point.word[:-1]
+        stack = point.prefix_matrices[:-1]
+    else:
+        word = point.word + (letter,)
+        top = point.prefix_matrices[-1] if point.prefix_matrices else np.eye(2, dtype=complex)
+        stack = point.prefix_matrices + (top @ g.disk[letter],)
+    dist = 0.0
+    if stack:   # distance of the basepoint's image from the core ball
+        dist = max(0.0, 2.0 * math.asinh(abs(stack[-1][0, 1])) - g.core_radius)
+    return SchottkyPoint(g, word, stack, dist)
+
+
+def free_uniform_law() -> StepLaw:
+    return StepLaw(tuple((GeneratorId(s, INVERSE[s]), 0.25) for s in LETTERS))
 
 
 class TestLattice:
@@ -185,6 +279,29 @@ class TestSl2Lattice:
             p = Sl2LatticePoint.from_basis(bases[i])
             assert lens[i] == pytest.approx(p.shortest_len, abs=1e-9)
 
+    def test_tie_walker_reduces(self):
+        """A walker whose reduction ends in a +-1/2 tie: dot/n0 flips sign
+        without shrinking, so the batch loop never reaches m == 0.  Its
+        retention must still match the scalar walk on the same letters."""
+        spec = EnsembleSpec(chart="sl2-lattice", mu=free_uniform_law(),
+                            n_walkers=1, n_steps=18, master_seed=0,
+                            walker_offset=9630,
+                            snapshot_schedule=tuple(range(19)),
+                            proxy_thresholds=(0.05, 0.2))
+        group = SchottkyGroup()
+        p = Sl2LatticePoint.identity()
+        lengths = [p.shortest_len]
+        for k in _letters(spec)[0]:
+            p = sl2_step(p, group.halfplane[LETTERS[k]])
+            lengths.append(p.shortest_len)
+        for r in run_ensemble(spec).rows:
+            assert r.retained_fraction == float(lengths[r.n] >= r.threshold)
+
+    def test_unreduced_basis_still_raises(self):
+        bases = np.array([[[5.0, 8.0], [3.0, 5.0]]])   # needs several steps
+        with pytest.raises(DegenerateBasis):
+            reduce_batch(bases, max_iter=1)
+
 
 class TestSchottky:
     def test_default_group_validates(self):
@@ -246,6 +363,23 @@ class TestSchottky:
             total += len(p.word)
         assert total / (walkers * n) == pytest.approx(0.5, abs=0.05)
 
+    def test_batch_matches_scalar_walk(self):
+        """step_batch + core_distances against the freely reduced scalar walk
+        on the same letters."""
+        group = SchottkyGroup()
+        gens = np.stack([group.disk[s] for s in LETTERS])
+        rng = np.random.default_rng(5)
+        letters = rng.integers(4, size=(30, 60))
+        mats = np.broadcast_to(np.eye(2, dtype=complex), (30, 2, 2)).copy()
+        points = [SchottkyPoint.basepoint(group) for _ in range(30)]
+        for t in range(60):
+            mats = step_batch(mats, gens, letters[:, t])
+            points = [schottky_step(p, LETTERS[k])
+                      for p, k in zip(points, letters[:, t])]
+            dists = core_distances(group, mats)
+            for d, p in zip(dists, points):
+                assert d == pytest.approx(p.core_distance, abs=1e-6)
+
     def test_elliptic_generator_rejected(self):
         theta = 0.3
         rot = np.array([[math.cos(theta), math.sin(theta)],
@@ -258,13 +392,3 @@ class TestSchottky:
                       [math.sinh(0.05), math.cosh(0.05)]])
         with pytest.raises(PingPongViolation):
             SchottkyGroup(a=a)
-
-
-class TestEscapeProxy:
-    def test_dispatch(self):
-        assert escape_proxy(Sl2LatticePoint.identity()) == pytest.approx(1.0)
-        assert escape_proxy(SchottkyPoint.basepoint()) == 0.0
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            escape_proxy(object())

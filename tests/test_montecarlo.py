@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from massdrift.errors import BoundednessViolation
+from massdrift.errors import BoundednessViolation, NonFiniteProxy
 from massdrift.kernel import evolve
 from massdrift.measures import GeneratorId, StepLaw
 from massdrift.models import build_lattice_model
@@ -69,15 +69,22 @@ class TestDeterminism:
         assert [r.as_tuple() for r in a.rows] != [r.as_tuple() for r in b.rows]
 
     def test_split_run_merges_exactly(self):
-        spec = EnsembleSpec(chart="schottky", mu=free_law(
-            {"a": 0.25, "A": 0.25, "b": 0.25, "B": 0.25}),
-            n_walkers=400, n_steps=40, master_seed=5)
-        whole = run_ensemble(spec)
-        merged = split_run(spec, 137)
-        for rw, rm in zip(whole.rows, merged.rows):
-            assert rw.retained_fraction == pytest.approx(
-                rm.retained_fraction, abs=1e-12)
-            assert rw.n == rm.n and rw.threshold == rm.threshold
+        from massdrift.models import srw_law
+        cases = [
+            (EnsembleSpec(chart="schottky", mu=free_law(
+                {"a": 0.25, "A": 0.25, "b": 0.25, "B": 0.25}),
+                n_walkers=400, n_steps=40, master_seed=5), 137),
+            # rebuilding counts as fraction * n_walkers is off in the last
+            # digit here (n=75, threshold 5.0)
+            (EnsembleSpec(chart="z-lattice", mu=srw_law(1), n_walkers=8333,
+                          n_steps=100, master_seed=4,
+                          snapshot_schedule=tuple(range(0, 101, 5)),
+                          proxy_thresholds=(1.0, 3.0, 5.0, 10.0)), 5000),
+        ]
+        for spec, n_first in cases:
+            whole = [r.as_tuple() for r in run_ensemble(spec).rows]
+            merged = [r.as_tuple() for r in split_run(spec, n_first).rows]
+            assert merged == whole
 
 
 class TestZLatticeOracle:
@@ -156,6 +163,20 @@ class TestSpecValidation:
                             generator_a=rot, generator_b=rot)
         with pytest.raises(BoundednessViolation):
             run_ensemble(spec)
+
+
+class TestNonFinite:
+    def test_overflowed_walker_raises(self):
+        """This walker's matrix entries overflow at step 1434; NaN <= thr is
+        False, so it used to count as escaped without a warning."""
+        def spec(n):
+            return EnsembleSpec(chart="schottky", mu=free_law(
+                {"a": 0.25, "A": 0.25, "b": 0.25, "B": 0.25}),
+                n_walkers=1, n_steps=n, master_seed=1, walker_offset=1765,
+                snapshot_schedule=(n,), proxy_thresholds=(1e9,))
+        assert run_ensemble(spec(1433)).fraction(1433, 1e9) == 1.0
+        with pytest.raises(NonFiniteProxy, match="step 1434"):
+            run_ensemble(spec(1434))
 
 
 class TestContrast:
