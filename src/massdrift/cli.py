@@ -337,6 +337,10 @@ CONFIG_SCHEMA = {
 }
 
 
+#: verdicts that exit 0; every other verdict exits 2
+PASSING = ("pass", "invariant")
+
+
 def _fmt(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
@@ -368,7 +372,7 @@ def run_config(config: dict, out_dir: str | None = None) -> int:
     write_csv(out["csv"], header, rows)
     write_summary(out["json"], {"experiment": config["experiment"], "params_hash": params_hash,
                                 "verdicts": verdicts, "max_residuals": residuals})
-    return 2 if any(v["verdict"] != "pass" for v in verdicts) else 0
+    return 2 if any(v["verdict"] not in PASSING for v in verdicts) else 0
 
 
 def main(argv=None) -> int:

@@ -2,22 +2,19 @@
 
 A step law is a finitely supported probability measure on generator symbols;
 a state vector is a sparse nonnegative measure on opaque state ids with total
-mass at most one.  Evolution is realized by convolving a state vector with a
-step law through a group action supplied by the model.
+mass at most one.  Evolution (``massdrift.kernel``) pushes state vectors
+through a group action supplied by the model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .errors import ActionUndefined
-
 StateId = Hashable
 #: action oracle: (generator id, state) -> state
 ActionOracle = Callable[[Hashable, StateId], StateId]
 
 MASS_TOL = 1e-12
-PRUNE_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -160,35 +157,6 @@ class ReferenceWeights:
         if w is None:
             raise KeyError(f"no reference weight for state {x!r}")
         return w
-
-
-def convolve_step(nu: StateVector, mu: StepLaw, act: ActionOracle,
-                  prune_eps: float = PRUNE_EPS) -> StateVector:
-    """One step of the walk: push ``nu`` forward through every generator of ``mu``.
-
-    result(y) = sum over (g, x) with g.x = y of mu(g) * nu(x).  Atoms below
-    ``prune_eps`` are dropped; their total is recorded in ``pruned_mass``.
-    """
-    out: dict[StateId, float] = {}
-    for g, w in mu.atoms:
-        for x, m in nu.entries.items():
-            try:
-                y = act(g.id, x)
-            except KeyError as exc:
-                raise ActionUndefined(f"action undefined on ({g.id!r}, {x!r})") from exc
-            if y is None:
-                raise ActionUndefined(f"action undefined on ({g.id!r}, {x!r})")
-            out[y] = out.get(y, 0.0) + w * m
-    pruned = nu.pruned_mass
-    if prune_eps > 0:
-        kept = {}
-        for y, m in out.items():
-            if m < prune_eps:
-                pruned += m
-            else:
-                kept[y] = m
-        out = kept
-    return StateVector(out, pruned)
 
 
 def pair(nu: StateVector, f: Observable) -> float:

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BoundednessViolation, NonFiniteProxy
+from .errors import (BoundednessViolation, NonFiniteProxy, PingPongViolation,
+                     SpecInvalid)
 from .measures import StepLaw
-from .models.schottky import SchottkyGroup, core_distances, step_batch
+from .models.schottky import INVERSE, SchottkyGroup, core_distances, step_batch
 from .models.sl2 import reduce_batch, shortest_lengths
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -47,6 +48,10 @@ def walker_seed(master_seed: int, walker_index: int) -> int:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
+    """One walker ensemble, checked when built: the chart must map every
+    generator of the law (z-lattice ids start with "+" or "-", the sl2 charts
+    take a/A/b/B), and generator matrices must have determinant one and be in
+    ping-pong position."""
     chart: str                                  # sl2-lattice | schottky | z-lattice
     mu: StepLaw
     n_walkers: int
@@ -63,6 +68,18 @@ class EnsembleSpec:
             raise ValueError(f"unknown chart {self.chart!r}")
         if self.n_walkers < 1:
             raise ValueError("n_walkers must be >= 1")
+        for g in self.mu.support:
+            known = str(g.id)[:1] in ("+", "-") if self.chart == "z-lattice" \
+                else g.id in INVERSE
+            if not known:
+                raise ValueError(f"the {self.chart} chart has no generator {g.id!r}")
+        if self.chart != "z-lattice":
+            try:
+                _chart_group(self)
+            except BoundednessViolation:
+                pass    # the escape hypothesis fails: run_ensemble reports it
+            except PingPongViolation as e:
+                raise SpecInvalid(str(e)) from e
         if not self.snapshot_schedule:
             object.__setattr__(self, "snapshot_schedule",
                                tuple(sorted({self.n_steps // 4, self.n_steps // 2,
@@ -130,6 +147,17 @@ def _spectral_radius(m: np.ndarray) -> float:
     return float(max(abs(np.linalg.eigvals(m))))
 
 
+def _chart_group(spec: EnsembleSpec) -> SchottkyGroup:
+    """The Schottky group of an sl2 chart, from the spec's generator matrices."""
+    gen_a = np.array(spec.generator_a) if spec.generator_a else None
+    gen_b = np.array(spec.generator_b) if spec.generator_b else None
+    supplied = [m for m in (gen_a, gen_b) if m is not None]
+    if supplied and all(_spectral_radius(m) <= 1.0 + 1e-9 for m in supplied):
+        raise BoundednessViolation(
+            "all generators are elliptic/bounded; escape hypothesis fails")
+    return SchottkyGroup(a=gen_a, b=gen_b)
+
+
 def _chart_generators(spec: EnsembleSpec):
     """Generator symbol order, matrices, and the retained predicate for the chart."""
     ids = [g.id for g in spec.mu.support]
@@ -137,13 +165,7 @@ def _chart_generators(spec: EnsembleSpec):
         steps = np.array([1 if str(i).startswith("+") else -1 for i in ids],
                          dtype=np.int64)
         return ids, steps, None
-    gen_a = np.array(spec.generator_a) if spec.generator_a else None
-    gen_b = np.array(spec.generator_b) if spec.generator_b else None
-    supplied = [m for m in (gen_a, gen_b) if m is not None]
-    if supplied and all(_spectral_radius(m) <= 1.0 + 1e-9 for m in supplied):
-        raise BoundednessViolation(
-            "all generators are elliptic/bounded; escape hypothesis fails")
-    group = SchottkyGroup(a=gen_a, b=gen_b)
+    group = _chart_group(spec)
     source = group.disk if spec.chart == "schottky" else group.halfplane
     mats = np.stack([source[i] for i in ids])
     return ids, mats, group

@@ -124,6 +124,23 @@ class TestRunConfig:
         }
         assert run_config(cfg) == 2
 
+    def test_invariance_invariant_exit_zero(self, tmp_path):
+        cfg = {
+            "experiment": "invariance",
+            "model": {"type": "cycle", "k": 6},
+            "law": {"atoms": [
+                {"id": "+1", "inverse": "-1", "weight": 0.5},
+                {"id": "-1", "inverse": "+1", "weight": 0.5},
+            ]},
+            "set": list(range(6)),
+            "out": {"csv": str(tmp_path / "i.csv"),
+                    "json": str(tmp_path / "i.json")},
+        }
+        assert run_config(cfg) == 0
+        summary = json.loads((tmp_path / "i.json").read_text())
+        assert summary["verdicts"] == [{"name": "invariance",
+                                        "verdict": "invariant"}]
+
     def test_sl2_ensemble_runs(self, tmp_path):
         cfg = {
             "experiment": "sl2",
@@ -198,6 +215,17 @@ LINE_LAW = {"atoms": [{"id": "+e1", "inverse": "-e1", "weight": 0.5},
                       {"id": "-e1", "inverse": "+e1", "weight": 0.5}]}
 
 
+FREE_LAW = {"atoms": [{"id": g, "inverse": i, "weight": 0.25}
+                      for g, i in (("a", "A"), ("A", "a"), ("b", "B"), ("B", "b"))]}
+
+
+def ensemble_config(tmp_path, law, **ensemble):
+    return {"experiment": "sl2", "law": law,
+            "ensemble": {"n_walkers": 1000, "n_steps": 40, **ensemble},
+            "out": {"csv": str(tmp_path / "out.csv"),
+                    "json": str(tmp_path / "out.json")}}
+
+
 def funnel_config(tmp_path, **model):
     return {"experiment": "funnel",
             "model": {"type": "funnel", "tail": ["constant", 1.0], **model},
@@ -238,6 +266,17 @@ CONFIG_MISTAKES = {
     "start-outside-line": lambda t: (evolve_config(
         t, model={"type": "z-lattice", "d": 1, "radius": 5}, start=99),
         "99 is not in z1-lattice-r5"),
+    # unchecked, the z-lattice chart walked every a/A/b/B walker left and
+    # exited 0, and the other two ended in a traceback at run time
+    "free-law-on-z-lattice": lambda t: (ensemble_config(
+        t, FREE_LAW, chart="z-lattice", thresholds=[39.5]),
+        "the z-lattice chart has no generator 'a'"),
+    "line-law-on-sl2": lambda t: (ensemble_config(
+        t, LINE_LAW, chart="sl2-lattice"),
+        "the sl2-lattice chart has no generator '+e1'"),
+    "determinant-two-generator": lambda t: (ensemble_config(
+        t, FREE_LAW, chart="schottky", generator_a=[[2, 0], [0, 1]]),
+        "generator a has determinant 2.0"),
 }
 
 

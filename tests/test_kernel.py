@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from massdrift.kernel import (MarkovModel, back_and_forth, cesaro,
                               check_invariant_set, even_return_curve, evolve,
                               harmonic_residual, verify_reversibility)
 from massdrift.measures import (Observable, ReferenceWeights, StateVector,
-                                StepLaw, convolve_step)
-from massdrift.models import (build_cycle_model, build_lattice_model,
+                                StepLaw)
+from massdrift.models import (FunnelChainSpec, build_cycle_model,
+                              build_funnel_chain, build_lattice_model,
                               build_two_component_model, cycle_law, srw_law)
+from test_measures import convolve_step
 
 
 @pytest.fixture
@@ -261,3 +265,143 @@ class TestModelValidation:
             MarkovModel(states=[0, 1], reference=ReferenceWeights(default=1.0),
                         rows={0: {1: 1.0}, 1: {0: 0.5, 1: 0.5}},
                         reversible_claim=True)
+
+
+def funnel(tail, size):
+    return build_funnel_chain(FunnelChainSpec(
+        (), tail=tail, step_scale=0.25, truncation_size=size))
+
+
+FUNNELS = [pytest.param(tail, size, id=f"{tail[0]}-{size}")
+           for tail in (("constant", 1.0), ("geometric", 0.5, 0.5))
+           for size in (400, 800)]
+#: a horizon at which the cost model takes the dense path, per truncation
+FUNNEL_HORIZON = {400: 10_000, 800: 40_000}
+ASYMMETRIC = {"+1": 0.1875, "-1": 0.5, "0": 0.3125}
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """Runs a kernel call on the dense block path, asserting that it was
+    taken, then again with sparse stepping forced, the reference."""
+    def run(call):
+        dense_powers = []
+        real = kernel._dense_power
+
+        def spy(mat, k):
+            dense_powers.append(k)
+            return real(mat, k)
+
+        monkeypatch.setattr(kernel, "_dense_power", spy)
+        dense = call()
+        assert dense_powers, "the cost model chose sparse stepping"
+        monkeypatch.setattr(kernel, "DENSE_MAX_STATES", 0)
+        sparse = call()
+        monkeypatch.undo()
+        return dense, sparse
+    return run
+
+
+def assert_series_close(a, b):
+    assert sorted(a.snapshots) == sorted(b.snapshots)
+    for n in a.snapshots:
+        assert a.snapshot(n).sup_distance(b.snapshot(n)) <= 1e-12
+        assert abs(a.absorbed[n] - b.absorbed[n]) <= 1e-12
+        assert abs(a.snapshot(n).total_mass + a.pruned_mass_log[n]
+                   - b.snapshot(n).total_mass - b.pruned_mass_log[n]) <= 1e-12
+
+
+class TestDensePath:
+    """The dense block path against sparse stepping, within 1e-12."""
+
+    @pytest.mark.parametrize("tail, size", FUNNELS)
+    def test_evolve_funnel(self, both_paths, tail, size):
+        m, h = funnel(tail, size), FUNNEL_HORIZON[size]
+        dense, sparse = both_paths(
+            lambda: evolve(m, 0, None, h, snapshot_schedule=[0, h]))
+        assert_series_close(dense, sparse)
+        win = range(11)
+        assert abs(dense.window_mass(h, win) - sparse.window_mass(h, win)) <= 1e-12
+
+    @pytest.mark.parametrize("tail, size", FUNNELS)
+    def test_evolve_funnel_unchecked(self, both_paths, tail, size):
+        m, h = funnel(tail, size), FUNNEL_HORIZON[size]
+        # unchecked, the walk halts at the last snapshot, so the jumps end
+        # in a partial block of sparse steps
+        dense, sparse = both_paths(lambda: evolve(
+            m, 0, None, h, snapshot_schedule=[0, h - 5, h + 1],
+            check_overflow=False))
+        assert sorted(dense.snapshots) == [0, h - 5]
+        assert_series_close(dense, sparse)
+
+    @pytest.mark.parametrize("tail, size", FUNNELS)
+    def test_even_return_curve_funnel(self, both_paths, tail, size):
+        m, n = funnel(tail, size), FUNNEL_HORIZON[size] // 2
+        dense, sparse = both_paths(lambda: even_return_curve(m, 0, None, n))
+        assert len(dense) == len(sparse) == n + 1
+        assert dense[0] == 1.0
+        assert np.abs(np.subtract(dense, sparse)).max() <= 1e-12
+        assert all(b <= a + 1e-15 for a, b in zip(dense, dense[1:]))
+
+    def test_evolve_cycle_asymmetric_law(self, both_paths):
+        m, mu = build_cycle_model(64), cycle_law(ASYMMETRIC)
+        dense, sparse = both_paths(lambda: evolve(
+            m, 5, mu, 10_000, snapshot_schedule=[0, 333, 5000, 10_000]))
+        assert_series_close(dense, sparse)
+
+    def test_even_return_curve_cycle(self, both_paths):
+        m, mu = build_cycle_model(64), cycle_law({"+1": 0.3, "-1": 0.3, "0": 0.4})
+        dense, sparse = both_paths(lambda: even_return_curve(m, 7, mu, 3000))
+        assert np.abs(np.subtract(dense, sparse)).max() <= 1e-12
+
+    def test_back_and_forth_cycle_asymmetric_law(self, both_paths):
+        m, mu = build_cycle_model(64), cycle_law(ASYMMETRIC)
+        dense, sparse = both_paths(lambda: back_and_forth(m, 54, mu, 300))
+        assert len(dense) == len(sparse) == 301
+        for a, b in zip(dense, sparse):
+            assert a.sup_distance(b) <= 1e-12
+            assert abs(a.total_mass - b.total_mass) <= 1e-12
+
+    @pytest.mark.parametrize("schedule", [[5000], list(range(0, 5001, 64))])
+    def test_overflow_same_step_and_message(self, both_paths, mu_srw, schedule):
+        m = build_lattice_model(1, 60)
+
+        def overflow():
+            with pytest.raises(TruncationOverflow) as info:
+                evolve(m, 0, mu_srw, 5000, snapshot_schedule=schedule)
+            return str(info.value)
+
+        dense, sparse = both_paths(overflow)
+        assert dense == sparse
+        assert "at step " in dense
+
+    def test_back_and_forth_overflow_same_entry_and_message(self, both_paths):
+        m = build_lattice_model(1, 25)
+        mu = StepLaw(tuple((g, w) for g, w in zip(
+            (a for a, _ in srw_law(1).atoms), (0.75, 0.25))))
+
+        def overflow():
+            with pytest.raises(TruncationOverflow) as info:
+                back_and_forth(m, 0, mu, 400)
+            return str(info.value)
+
+        dense, sparse = both_paths(overflow)
+        assert dense == sparse
+
+    def test_large_box_never_goes_dense(self, monkeypatch):
+        box = build_lattice_model(2, 20)           # 1681 states
+        law = srw_law(2)
+        box.transition_matrix(law)
+        calls = []
+        monkeypatch.setattr(kernel, "_dense_power",
+                            lambda *a: calls.append(a) or 1 / 0)
+        tracemalloc.start()
+        try:
+            # at this horizon the cost model alone would pick the dense path
+            with pytest.raises(TruncationOverflow):
+                evolve(box, (0, 0), law, 10 ** 6, snapshot_schedule=[10 ** 6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 8 * 1682 ** 2 / 16

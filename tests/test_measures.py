@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from massdrift.errors import ActionUndefined
 from massdrift.measures import (GeneratorId, Observable, StateVector, StepLaw,
-                                convolve_step, invert_law, is_symmetric, pair,
-                                window_mass)
+                                invert_law, is_symmetric, pair, window_mass)
 
 PLUS = GeneratorId("+1", "-1")
 MINUS = GeneratorId("-1", "+1")
@@ -25,6 +24,35 @@ def z_action(gid, x):
 
 def srw():
     return StepLaw(((PLUS, 0.5), (MINUS, 0.5)))
+
+
+def convolve_step(nu, mu, act, prune_eps=1e-15):
+    """One step of the walk on dicts, the oracle of ``kernel.evolve``: push
+    ``nu`` forward through every generator of ``mu``.
+
+    result(y) = sum over (g, x) with g.x = y of mu(g) * nu(x).  Atoms below
+    ``prune_eps`` are dropped; their total is recorded in ``pruned_mass``.
+    """
+    out = {}
+    for g, w in mu.atoms:
+        for x, m in nu.entries.items():
+            try:
+                y = act(g.id, x)
+            except KeyError as exc:
+                raise ActionUndefined(f"action undefined on ({g.id!r}, {x!r})") from exc
+            if y is None:
+                raise ActionUndefined(f"action undefined on ({g.id!r}, {x!r})")
+            out[y] = out.get(y, 0.0) + w * m
+    pruned = nu.pruned_mass
+    if prune_eps > 0:
+        kept = {}
+        for y, m in out.items():
+            if m < prune_eps:
+                pruned += m
+            else:
+                kept[y] = m
+        out = kept
+    return StateVector(out, pruned)
 
 
 class TestStepLaw:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from massdrift.errors import BoundednessViolation, NonFiniteProxy
+from massdrift.errors import (BoundednessViolation, NonFiniteProxy,
+                              SpecInvalid)
 from massdrift.kernel import evolve
 from massdrift.measures import GeneratorId, StepLaw
 from massdrift.models import build_lattice_model
@@ -154,6 +155,32 @@ class TestSpecValidation:
             n_walkers=10, n_steps=16, master_seed=0)
         assert spec.proxy_thresholds == (2.0, 5.0, 10.0)
         assert spec.snapshot_schedule == (4, 8, 12, 16)
+
+    @pytest.mark.parametrize("chart, law", [
+        ("z-lattice", {"a": 0.25, "A": 0.25, "b": 0.25, "B": 0.25}),
+        ("sl2-lattice", {"+e1": 0.5, "-e1": 0.5}),
+        ("schottky", {"0": 0.5, "a": 0.5}),
+    ])
+    def test_law_the_chart_cannot_map_rejected(self, chart, law):
+        mu = StepLaw(tuple((GeneratorId(g, g), w) for g, w in law.items()))
+        with pytest.raises(ValueError, match=f"{chart} chart has no generator"):
+            EnsembleSpec(chart=chart, mu=mu, n_walkers=10, n_steps=10,
+                         master_seed=0)
+
+    def test_generator_determinant_checked_when_built(self):
+        with pytest.raises(ValueError, match="determinant 2"):
+            EnsembleSpec(chart="schottky", mu=free_law(
+                {"a": 0.25, "A": 0.25, "b": 0.25, "B": 0.25}),
+                n_walkers=10, n_steps=10, master_seed=0,
+                generator_a=((2.0, 0.0), (0.0, 1.0)))
+
+    def test_ping_pong_checked_when_built(self):
+        # a short translation's isometric disks meet those of the default b
+        with pytest.raises(SpecInvalid, match="overlap"):
+            EnsembleSpec(chart="sl2-lattice", mu=free_law(
+                {"a": 0.25, "A": 0.25, "b": 0.25, "B": 0.25}),
+                n_walkers=10, n_steps=10, master_seed=0,
+                generator_a=((1.2, 0.0), (0.0, 1 / 1.2)))
 
     def test_bounded_generators_rejected(self):
         rot = ((0.0, 1.0), (-1.0, 0.0))
