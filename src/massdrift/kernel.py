@@ -7,8 +7,9 @@ bijections plus a step law) or explicit sparse kernel rows.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,17 +34,24 @@ class MarkovModel:
 
     Exactly one of ``action`` / ``rows`` is set.  ``boundary`` lists the states
     at the truncation edge; any mass pushed outside the stored states is moved
-    to an absorbing sink and reported.
+    to an absorbing sink and reported.  An action model may also give
+    ``neighbours``, the action on every state at once: for a generator id, the
+    index of each state's image, ``n_states`` (the sink) where the image
+    leaves the truncation.  The kernel then assembles its matrix from these
+    index arrays; everything else still calls ``action``.
     """
     states: Sequence[StateId]
     reference: ReferenceWeights
     action: ActionOracle | None = None
+    neighbours: Callable[[Hashable], np.ndarray] | None = None
     rows: Mapping[StateId, Mapping[StateId, float]] | None = None
     boundary: frozenset = frozenset()
     reversible_claim: bool = False
     name: str = ""
     index: dict = field(init=False, repr=False)
     _mat_cache: dict = field(init=False, repr=False, default_factory=dict)
+    #: transposes of the cached transition matrices, by law
+    _step_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if (self.action is None) == (self.rows is None):
@@ -79,8 +87,8 @@ class MarkovModel:
         if cached is not None:
             return cached
         n = self.n_states
-        data, ri, ci = [], [], []
         if self.rows is not None:
+            data, ri, ci = [], [], []
             for x, row in self.rows.items():
                 i = self.index[x]
                 for y, p in row.items():
@@ -90,16 +98,19 @@ class MarkovModel:
         else:
             if mu is None:
                 raise ValueError("action model needs a step law")
-            for x in self.states:
-                i = self.index[x]
-                for g, w in mu.atoms:
-                    y = self.action(g.id, x)
-                    ri.append(i)
-                    ci.append(self.index.get(y, n))
-                    data.append(w)
-        ri.append(n)
-        ci.append(n)
-        data.append(1.0)
+            # row i holds one entry per atom, in law order
+            if self.neighbours is not None:
+                images = np.stack([self.neighbours(g.id) for g, _ in mu.atoms],
+                                  axis=1)
+            else:
+                images = [[self.index.get(self.action(g.id, x), n)
+                           for g, _ in mu.atoms] for x in self.states]
+            ci = np.ravel(images)
+            ri = np.repeat(np.arange(n), len(mu.atoms))
+            data = np.tile([w for _, w in mu.atoms], n)
+        ri = np.append(ri, n)
+        ci = np.append(ci, n)
+        data = np.append(data, 1.0)
         mat = sp.csr_matrix((data, (ri, ci)), shape=(n + 1, n + 1))
         mat.sum_duplicates()
         self._mat_cache[mu] = mat
@@ -112,15 +123,63 @@ class MarkovModel:
         return v
 
     def to_state_vector(self, v: np.ndarray) -> StateVector:
-        entries = {}
-        pruned = 0.0
-        for i in np.nonzero(v[:-1])[0]:
-            m = float(v[i])
-            if m < SNAPSHOT_PRUNE:
-                pruned += m
-            else:
-                entries[self.states[i]] = m
-        return StateVector(entries, pruned)
+        return _state_vector(self, *_nonzero(v))
+
+
+def _state_vector(model: MarkovModel, idx: np.ndarray,
+                  mass: np.ndarray) -> StateVector:
+    """The StateVector of the nonzero masses ``mass`` at the ascending state
+    indices ``idx``; masses below SNAPSHOT_PRUNE go to pruned_mass."""
+    kept = ~(mass < SNAPSHOT_PRUNE)      # a NaN mass is kept, not pruned
+    states = model.states
+    return StateVector(
+        {states[i]: m for i, m in zip(idx[kept].tolist(), mass[kept].tolist())},
+        _pruned_mass(mass))
+
+
+def _nonzero(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 indices and float64 masses of the nonzero states of a vector
+    (the sink excluded)."""
+    # nonzero of a boolean mask is several times faster than of floats
+    idx = np.flatnonzero(v[:-1] != 0).astype(np.int32)
+    return idx, v[idx]
+
+
+def _pruned_mass(mass: np.ndarray) -> float:
+    """Total of the masses below SNAPSHOT_PRUNE, added one at a time in index
+    order as a loop would (accumulate is sequential; np.sum adds pairwise)."""
+    small = mass[mass < SNAPSHOT_PRUNE]
+    return float(np.add.accumulate(small)[-1]) if small.size else 0.0
+
+
+class Snapshots(Mapping):
+    """Step -> StateVector of an evolution, stored compactly.
+
+    Each snapshot is kept as the unpruned nonzero entries of the distribution
+    (int32 state indices, float64 masses); a StateVector is built on every
+    access and not cached.
+    """
+
+    def __init__(self, model: MarkovModel):
+        self.model = model
+        self.arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __getitem__(self, n: int) -> StateVector:
+        return _state_vector(self.model, *self.arrays[n])
+
+    def __contains__(self, n) -> bool:
+        return n in self.arrays
+
+    def __iter__(self):
+        return iter(self.arrays)
+
+    def __len__(self) -> int:
+        return len(self.arrays)
+
+    def kept(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and masses of snapshot ``n`` with pruned masses set to 0."""
+        idx, mass = self.arrays[n]
+        return idx, np.where(mass < SNAPSHOT_PRUNE, 0.0, mass)
 
 
 @dataclass
@@ -129,7 +188,7 @@ class EvolutionSeries:
     model: MarkovModel
     start: StateId
     law: StepLaw | None
-    snapshots: dict[int, StateVector]
+    snapshots: Snapshots
     absorbed: dict[int, float]
     pruned_mass_log: dict[int, float]
 
@@ -137,8 +196,12 @@ class EvolutionSeries:
         return self.snapshots[n]
 
     def window_mass(self, n: int, window: Iterable[StateId]) -> float:
-        nu = self.snapshots[n]
-        return sum(nu.mass_at(x) for x in window)
+        idx, mass = self.snapshots.kept(n)
+        dense = np.zeros(self.model.n_states + 1)
+        dense[idx] = mass
+        # states outside the model read the sink slot, which stays 0
+        index = self.model.index
+        return sum(dense[[index.get(x, -1) for x in window]].tolist())
 
 
 @dataclass
@@ -155,10 +218,21 @@ class ReversibilityReport:
     passes: bool
 
 
-def _step_matrix(model: MarkovModel, mu: StepLaw | None) -> sp.csr_matrix:
-    if model.rows is not None:
-        return model.transition_matrix()
-    return model.transition_matrix(mu)
+def _transition(model: MarkovModel, mu: StepLaw | None) -> sp.csr_matrix:
+    """P; kernel-row models ignore the law."""
+    return model.transition_matrix(None if model.rows is not None else mu)
+
+
+def _matrices(model: MarkovModel,
+              mu: StepLaw | None) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """P and its transpose P^T, which pushes a distribution one step.  P^T is
+    built once per (model, law) and cached beside P."""
+    mat = _transition(model, mu)
+    key = None if model.rows is not None else mu
+    step = model._step_cache.get(key)
+    if step is None:
+        step = model._step_cache[key] = mat.T.tocsr()
+    return mat, step
 
 
 def _costs(mat: sp.csr_matrix) -> tuple[float, float, float] | None:
@@ -236,18 +310,17 @@ def evolve(model: MarkovModel, x: StateId, mu: StepLaw | None, n_max: int,
     stops = sorted(n for n in schedule if n > 0)
     if check_overflow and n_max > 0 and (not stops or stops[-1] < n_max):
         stops.append(n_max)
-    mat = _step_matrix(model, mu)
-    step = mat.T.tocsr()
+    mat, step = _matrices(model, mu)
     k = _evolve_block(mat, stops)
     block, power = 1 << k, _dense_power(mat, k) if k else None
     v = model.to_vector(StateVector.dirac(x))
-    snapshots, absorbed, pruned_log = {}, {}, {}
+    snapshots, absorbed, pruned_log = Snapshots(model), {}, {}
 
     def record(n: int) -> None:
-        nu = model.to_state_vector(v)
-        snapshots[n] = nu
+        idx, mass = _nonzero(v)
+        snapshots.arrays[n] = idx, mass
         absorbed[n] = float(v[-1])
-        pruned_log[n] = nu.pruned_mass
+        pruned_log[n] = _pruned_mass(mass)
 
     if 0 in schedule:
         record(0)
@@ -267,24 +340,28 @@ def evolve(model: MarkovModel, x: StateId, mu: StepLaw | None, n_max: int,
 def cesaro(series: EvolutionSeries, n: int) -> StateVector:
     """Average of the first ``n`` snapshots, (1/n) * sum_{k<n} snapshot_k.
 
-    Recomputes the evolution when the stored schedule is sparse.
+    With every snapshot below ``n`` stored, the pruned snapshots are added in
+    step order and the average is not pruned again.  Otherwise the evolution
+    is recomputed, raising TruncationOverflow at the step ``evolve`` would.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if all(k in series.snapshots for k in range(n)):
-        vecs = [series.snapshots[k] for k in range(n)]
-        acc = {}
-        for nu in vecs:
-            for s, m in nu.entries.items():
-                acc[s] = acc.get(s, 0.0) + m
-        return StateVector({s: m / n for s, m in acc.items()},
-                           sum(nu.pruned_mass for nu in vecs) / n)
     model = series.model
-    mat = _step_matrix(model, series.law).T.tocsr()
+    if all(k in series.snapshots for k in range(n)):
+        total = np.zeros(model.n_states)
+        for k in range(n):
+            idx, mass = series.snapshots.kept(k)
+            total[idx] += mass
+        idx = np.flatnonzero(total)
+        states = model.states
+        return StateVector(
+            {states[i]: m for i, m in zip(idx.tolist(), (total[idx] / n).tolist())},
+            sum(series.pruned_mass_log[k] for k in range(n)) / n)
+    step = _matrices(model, series.law)[1]
     v = model.to_vector(StateVector.dirac(series.start))
     total = v.copy()
-    for _ in range(n - 1):
-        v = mat @ v
+    for k in range(1, n):
+        v = _steps(step, v, k - 1, 1, True)
         total += v
     return model.to_state_vector(total / n)
 
@@ -300,9 +377,8 @@ def back_and_forth(model: MarkovModel, x: StateId, mu: StepLaw,
     """
     if model.action is None:
         raise ValueError("back_and_forth needs an action model")
-    fwd_mat = model.transition_matrix(mu)
-    fwd = fwd_mat.T.tocsr()
-    bwd = model.transition_matrix(invert_law(mu)).T.tocsr()
+    fwd_mat, fwd = _matrices(model, mu)
+    bwd = _matrices(model, invert_law(mu))[1]
     costs = _costs(fwd_mat)
     power = dense_fwd = None
     if costs is not None:
@@ -333,7 +409,7 @@ def back_and_forth(model: MarkovModel, x: StateId, mu: StepLaw,
 def _operator_indicator(model: MarkovModel, A: frozenset,
                         mu: StepLaw | None) -> float:
     """sup over interior states of |P 1_A(x) - 1_A(x)|."""
-    mat = _step_matrix(model, mu)
+    mat = _transition(model, mu)
     ind = np.zeros(model.n_states + 1)
     for a in A:
         ind[model.index[a]] = 1.0
@@ -475,11 +551,10 @@ def even_return_curve(model: MarkovModel, x: StateId, mu: StepLaw | None,
     else:
         if mu is None or not is_symmetric(mu, 1e-12):
             raise SymmetryRequired("even_return_curve needs a symmetric law")
-    mat = _step_matrix(model, mu)
+    mat, step = _matrices(model, mu)
     i0 = model.index[x]
     k = _curve_block(mat, n_max)
     if k == 0:
-        step = mat.T.tocsr()
         v = model.to_vector(StateVector.dirac(x))
         curve = [1.0]
         for _ in range(n_max):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import SpecInvalid
 from ..kernel import MarkovModel
 from ..measures import GeneratorId, ReferenceWeights, StepLaw
@@ -34,22 +36,37 @@ def build_lattice_model(d: int, radius: int) -> MarkovModel:
         raise ValueError("d must be 1 or 2")
     if radius < 2:
         raise ValueError("radius must be >= 2")
+    width = 2 * radius + 1
     rng = range(-radius, radius + 1)
+
+    def unit_step(gid):
+        return (0 if d == 1 else int(gid[2]) - 1), (1 if gid[0] == "+" else -1)
+
+    def neighbours(gid):
+        # states are the box in row-major order, so a state's index is its
+        # shifted coordinates read in base 2*radius+1
+        axis, step = unit_step(gid)
+        coords = np.indices((width,) * d).reshape(d, -1)
+        coords[axis] += step
+        out = (coords[axis] < 0) | (coords[axis] >= width)
+        images = np.ravel_multi_index(coords, (width,) * d, mode="clip")
+        images[out] = width ** d
+        return images
+
     if d == 1:
         states: list = list(rng)
 
         def action(gid, x):
-            return x + (1 if gid[0] == "+" else -1)
+            return x + unit_step(gid)[1]
 
         boundary = frozenset({-radius, radius})
     else:
         states = [tuple(p) for p in itertools.product(rng, repeat=2)]
 
         def action(gid, x):
-            i = int(gid[2]) - 1
-            step = 1 if gid[0] == "+" else -1
+            axis, step = unit_step(gid)
             p = list(x)
-            p[i] += step
+            p[axis] += step
             return tuple(p)
 
         boundary = frozenset(s for s in states
@@ -58,6 +75,7 @@ def build_lattice_model(d: int, radius: int) -> MarkovModel:
         states=states,
         reference=ReferenceWeights(default=1.0, total_is_infinite=True),
         action=action,
+        neighbours=neighbours,
         boundary=boundary,
         reversible_claim=True,
         name=f"z{d}-lattice-r{radius}",

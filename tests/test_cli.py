@@ -302,6 +302,21 @@ class TestConfigContract:
         assert err.startswith("error: TruncationOverflow: ")
         assert err.count("\n") == 1
 
+    def test_cesaro_past_the_horizon_overflows_like_evolve(self, tmp_path,
+                                                          capsys):
+        errors = []
+        for n_steps in (200, 2):       # 2: cesaro steps on to 200 by itself
+            cfg = evolve_config(
+                tmp_path, experiment="cesaro",
+                model={"type": "z-lattice", "d": 1, "radius": 3},
+                schedule={"n_steps": n_steps, "snapshots": [200]})
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", str(path)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: TruncationOverflow: ")
+        assert errors[1] == errors[0]
+
     def test_z2_list_start_matches_kernel(self, tmp_path):
         from massdrift.kernel import evolve
         from massdrift.models import build_lattice_model, srw_law

@@ -1,7 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from massdrift import kernel
 from massdrift.errors import (InconclusiveAtTruncation, SymmetryRequired,
@@ -9,8 +11,8 @@ from massdrift.errors import (InconclusiveAtTruncation, SymmetryRequired,
 from massdrift.kernel import (MarkovModel, back_and_forth, cesaro,
                               check_invariant_set, even_return_curve, evolve,
                               harmonic_residual, verify_reversibility)
-from massdrift.measures import (Observable, ReferenceWeights, StateVector,
-                                StepLaw)
+from massdrift.measures import (GeneratorId, Observable, ReferenceWeights,
+                                StateVector, StepLaw)
 from massdrift.models import (FunnelChainSpec, build_cycle_model,
                               build_funnel_chain, build_lattice_model,
                               build_two_component_model, cycle_law, srw_law)
@@ -100,6 +102,16 @@ class TestCesaro:
         avg = cesaro(s, 6)
         expect = sum(s.snapshot(k).total_mass for k in range(6)) / 6
         assert avg.total_mass == pytest.approx(expect, abs=1e-12)
+
+    def test_recompute_overflows_like_evolve(self, mu_srw):
+        m = build_lattice_model(1, 3)
+        with pytest.raises(TruncationOverflow) as direct:
+            evolve(m, 0, mu_srw, 200)
+        # snapshot 200 lies past n_max, so cesaro steps on by itself
+        series = evolve(m, 0, mu_srw, 2, snapshot_schedule=[200])
+        with pytest.raises(TruncationOverflow) as recomputed:
+            cesaro(series, 200)
+        assert str(recomputed.value) == str(direct.value)
 
 
 def cycle3_matrix(weights):
@@ -405,3 +417,90 @@ class TestDensePath:
             tracemalloc.stop()
         assert calls == []
         assert peak < 8 * 1682 ** 2 / 16
+
+
+def lattice_law(weights):
+    """A step law on the unit steps of Z^d, weights in +e1, -e1, +e2, -e2
+    order."""
+    ids = [(f"{s}e{i}", f"{t}e{i}")
+           for i in (1, 2) for s, t in (("+", "-"), ("-", "+"))]
+    return StepLaw(tuple((GeneratorId(*g), w) for g, w in zip(ids, weights)))
+
+
+class TestArrayKernel:
+    """Neighbour-index assembly and array snapshots against the per-state
+    callable and the dict oracle."""
+
+    @pytest.mark.parametrize("radius", [2, 3, 17])
+    @pytest.mark.parametrize("d, weights", [
+        (1, (0.5, 0.5)), (1, (0.7, 0.3)),
+        (2, (0.25,) * 4), (2, (0.4, 0.1, 0.3, 0.2))])
+    def test_neighbour_assembly_equals_callable(self, d, weights, radius):
+        box = build_lattice_model(d, radius)
+        law = lattice_law(weights)
+        fast = box.transition_matrix(law)
+        slow = dataclasses.replace(box, neighbours=None).transition_matrix(law)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(fast, part), getattr(slow, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d, radius, weights, start, horizon", [
+        (1, 30, (0.5, 0.5), 0, 25),
+        (1, 60, (0.7, 0.3), 5, 55),         # tails fall below SNAPSHOT_PRUNE
+        (2, 12, (0.25,) * 4, (1, -2), 10)])
+    def test_snapshots_match_dict_oracle(self, d, radius, weights, start,
+                                         horizon):
+        box, law = build_lattice_model(d, radius), lattice_law(weights)
+        series = evolve(box, start, law, horizon)
+        window = box.interior[::3] + [99]      # 99 is not a state
+        nu, acc = StateVector.dirac(start), {}
+        for n in range(horizon + 1):
+            if n:
+                nu = convolve_step(nu, law, box.action, prune_eps=0.0)
+            kept = {x: m for x, m in nu.entries.items()
+                    if m >= kernel.SNAPSHOT_PRUNE}
+            snap = series.snapshot(n)
+            assert snap.entries == kept
+            assert list(snap.entries) == sorted(kept, key=box.index.get)
+            assert abs(snap.pruned_mass
+                       - (nu.total_mass - sum(kept.values()))) <= 1e-12
+            assert series.pruned_mass_log[n] == snap.pruned_mass
+            assert series.window_mass(n, window) == \
+                sum(kept.get(x, 0.0) for x in window)
+            for x, m in kept.items():
+                acc[x] = acc.get(x, 0.0) + m
+        avg = cesaro(series, horizon + 1)
+        assert avg.entries == {x: m / (horizon + 1) for x, m in acc.items()}
+        assert abs(avg.pruned_mass * (horizon + 1)
+                   - sum(series.pruned_mass_log.values())) <= 1e-12
+
+    def test_snapshot_storage_is_compact(self):
+        box, law = build_lattice_model(2, 40), srw_law(2)     # 81 wide
+        horizon = 20
+        evolve(box, (0, 0), law, 0)      # assemble outside the measurement
+        tracemalloc.start()
+        try:
+            series = evolve(box, (0, 0), law, horizon)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(series.snapshots) == horizon + 1
+        dense = (horizon + 1) * 8 * (box.n_states + 1)
+        assert held < dense / 8
+
+    def test_step_matrix_transposed_once_per_law(self, monkeypatch):
+        m, mu = build_cycle_model(16), cycle_law(ASYMMETRIC)
+        transposes = []
+        real = sp.csr_matrix.transpose
+
+        def spy(self, *a, **k):
+            transposes.append(self.shape)
+            return real(self, *a, **k)
+
+        monkeypatch.setattr(sp.csr_matrix, "transpose", spy)
+        for _ in range(2):
+            evolve(m, 3, mu, 10)
+            cesaro(evolve(m, 3, mu, 10, snapshot_schedule=[10]), 8)
+            back_and_forth(m, 3, mu, 4)
+        assert len(transposes) == 2          # the law and its inverse
+        assert kernel._matrices(m, mu)[1] is kernel._matrices(m, mu)[1]
