@@ -5,10 +5,6 @@ class MassdriftError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ActionUndefined(MassdriftError):
-    """A generator/state pair has no defined image; usually a model or truncation bug."""
-
-
 class TruncationOverflow(MassdriftError):
     """Too much mass reached the truncation boundary; the window is too small."""
 

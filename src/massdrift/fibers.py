@@ -144,13 +144,6 @@ class FiberWord:
     letters: tuple
     weight: float
 
-    @classmethod
-    def make(cls, m: FiniteFiberModel, letters: Sequence[GroupElem]) -> "FiberWord":
-        w = 1.0
-        for b in letters:
-            w *= m.mu.weight_of(b)
-        return cls(tuple(letters), w)
-
 
 def support_words(m: FiniteFiberModel, n: int):
     """All length-n words with positive weight, paired with their weights."""

@@ -105,10 +105,6 @@ class StateVector:
     def mass_at(self, x: StateId) -> float:
         return self.entries.get(x, 0.0)
 
-    def scale(self, a: float) -> "StateVector":
-        return StateVector({x: a * m for x, m in self.entries.items()},
-                           a * self.pruned_mass)
-
     def add(self, other: "StateVector") -> "StateVector":
         out = dict(self.entries)
         for x, m in other.entries.items():

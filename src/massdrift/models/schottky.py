@@ -86,13 +86,38 @@ class SchottkyGroup:
                         f"isometric disks of {s!r} and {t!r} overlap")
 
 
-def step_batch(mats: np.ndarray, gen_mats: np.ndarray,
-               letter_idx: np.ndarray) -> np.ndarray:
-    """Right-multiply a stack of walker matrices by per-walker generator letters."""
-    return np.einsum("nij,njk->nik", mats, gen_mats[letter_idx])
+def generator_components(mats: np.ndarray) -> np.ndarray:
+    """Disk matrices (k, 2, 2) as the (8, k) float rows that ``step_batch``
+    reads: real and imaginary parts of g00, g01, g10, g11."""
+    return np.ascontiguousarray(
+        np.asarray(mats, dtype=complex).reshape(-1, 4).view(np.float64).T)
 
 
-def core_distances(group: SchottkyGroup, mats: np.ndarray) -> np.ndarray:
-    """Distance from the core ball of the basepoint's image, per walker matrix."""
-    d = 2.0 * np.arcsinh(np.abs(mats[:, 0, 1]))
+def step_batch(row: tuple, gens: np.ndarray, letter_idx: np.ndarray) -> tuple:
+    """Right-multiply each walker matrix M by its generator letter g.
+
+    Only the first row (x, y) of M is carried, as float components
+    ``(re x, im x, re y, im y)``: row 0 of M g depends on row 0 of M alone,
+    and the core distance reads y.  Each complex product is written out as
+    (re re - im im) + i (re im + im re), the order ``np.einsum`` uses on
+    complex stacks, so the components are bit-equal to the stacked product.
+    ``gens`` is ``generator_components`` of the letters' disk matrices.
+    """
+    xr, xi, yr, yi = row
+    g00r, g00i, g01r, g01i, g10r, g10i, g11r, g11i = gens[:, letter_idx]
+    # an overflowed walker is reported by its non-finite core distance
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((xr * g00r - xi * g00i) + (yr * g10r - yi * g10i),
+                (xr * g00i + xi * g00r) + (yr * g10i + yi * g10r),
+                (xr * g01r - xi * g01i) + (yr * g11r - yi * g11i),
+                (xr * g01i + xi * g01r) + (yr * g11i + yi * g11r))
+
+
+def core_distances(group: SchottkyGroup, row: tuple) -> np.ndarray:
+    """Distance from the core ball of the basepoint's image, per walker row
+    ``(re x, im x, re y, im y)``.  |y| is taken with ``np.abs`` of a complex
+    array, whose rounding ``np.hypot`` does not always share."""
+    y = np.empty(len(row[2]), dtype=complex)
+    y.real, y.imag = row[2], row[3]
+    d = 2.0 * np.arcsinh(np.abs(y))
     return np.maximum(0.0, d - group.core_radius)

@@ -4,6 +4,9 @@ A point is a determinant-one basis matrix whose columns span a lattice; bases
 differing by integer column operations represent the same point.  The shortest
 nonzero lattice vector is the compactness proxy: a set of lattices is
 precompact exactly when the shortest length is bounded below.
+
+A batch of bases [[a, b], [c, d]] is held as four (n,) component arrays
+``(a, b, c, d)``: the columns are (a, c) and (b, d).
 """
 from __future__ import annotations
 
@@ -16,37 +19,50 @@ from ..errors import DegenerateBasis
 TIE_TOL = 1e-9
 
 
-def reduce_batch(bases: np.ndarray, max_iter: int = 64) -> np.ndarray:
-    """Gauss-reduce a stack of bases (n, 2, 2) in place, vectorized.
+def _gauss_step(a, b, c, d):
+    """Swap so the shorter column comes first (sign flip keeps det +1), then
+    subtract the rounded projection m of the second column on the first."""
+    n0 = a * a + c * c
+    n1 = b * b + d * d
+    swap = n0 > n1
+    if swap.any():
+        a, b, c, d = (np.where(swap, b, a), np.where(swap, -a, b),
+                      np.where(swap, d, c), np.where(swap, -c, d))
+        n0 = np.where(swap, n1, n0)
+    m = np.round((a * b + c * d) / n0)
+    return (a, b - m * a, c, d - m * c), m
 
-    At a tie, dot/n0 within rounding of +-1/2, a step can flip the sign of the
-    ratio without lowering it, and the loop alternates between two bases that
-    are both reduced.  Such a basis is accepted after ``max_iter`` steps; only
-    a basis that still breaks the Gauss condition raises.
+
+def reduce_batch(basis: tuple, max_iter: int = 64) -> tuple:
+    """Gauss-reduce a batch of bases given as components (a, b, c, d).
+
+    Only the walkers whose last step changed their basis (m != 0) are stepped
+    again; a basis with m == 0 is a fixed point of the step, so the result
+    equals stepping every walker until all are reduced.  At a tie, dot/n0
+    within rounding of +-1/2, a step can flip the sign of the ratio without
+    lowering it, and the walker alternates between two bases that are both
+    reduced.  Such a basis is accepted after ``max_iter`` steps; only a basis
+    that still breaks the Gauss condition raises.
     """
-    b = bases
-    for _ in range(max_iter):
-        n0 = b[:, 0, 0] ** 2 + b[:, 1, 0] ** 2
-        n1 = b[:, 0, 1] ** 2 + b[:, 1, 1] ** 2
-        swap = n0 > n1
-        if swap.any():
-            b[swap] = np.stack((b[swap][:, :, 1], -b[swap][:, :, 0]), axis=2)
-            n0 = np.where(swap, n1, n0)
-        dot = b[:, 0, 0] * b[:, 0, 1] + b[:, 1, 0] * b[:, 1, 1]
-        m = np.round(dot / n0)
-        if not m.any():
-            return b
-        b[:, :, 1] -= m[:, None] * b[:, :, 0]
-    n0 = np.minimum(b[:, 0, 0] ** 2 + b[:, 1, 0] ** 2,
-                    b[:, 0, 1] ** 2 + b[:, 1, 1] ** 2)
-    dot = b[:, 0, 0] * b[:, 0, 1] + b[:, 1, 0] * b[:, 1, 1]
-    if np.all(np.abs(dot / n0) <= 0.5 + TIE_TOL):
-        return b
+    out, m = _gauss_step(*(np.array(x, dtype=float) for x in basis))
+    rows = np.flatnonzero(m)
+    for _ in range(max_iter - 1):
+        if not rows.size:
+            return out
+        stepped, m = _gauss_step(*(x[rows] for x in out))
+        for x, y in zip(out, stepped):
+            x[rows] = y
+        rows = rows[m != 0]
+    if not rows.size:
+        return out
+    a, b, c, d = (x[rows] for x in out)
+    n0 = np.minimum(a * a + c * c, b * b + d * d)
+    if np.all(np.abs((a * b + c * d) / n0) <= 0.5 + TIE_TOL):
+        return out
     raise DegenerateBasis("batched reduction did not terminate")
 
 
-def shortest_lengths(bases: np.ndarray) -> np.ndarray:
-    """Shortest vector length per reduced basis in a stack (n, 2, 2)."""
-    n0 = np.sqrt(bases[:, 0, 0] ** 2 + bases[:, 1, 0] ** 2)
-    n1 = np.sqrt(bases[:, 0, 1] ** 2 + bases[:, 1, 1] ** 2)
-    return np.minimum(n0, n1)
+def shortest_lengths(basis: tuple) -> np.ndarray:
+    """Shortest vector length per reduced basis (a, b, c, d)."""
+    a, b, c, d = basis
+    return np.minimum(np.sqrt(a * a + c * c), np.sqrt(b * b + d * d))

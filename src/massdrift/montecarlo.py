@@ -2,9 +2,14 @@
 
 Exact evolution is impossible on these continuous charts, so mass retention is
 estimated from independent walkers.  Reproducibility contract: walker i draws
-its letters from a counter-based generator keyed by
-splitmix64(master_seed + (walker_offset + i) * GOLDEN), so identical specs give
-byte-identical outputs and splitting an ensemble across runs merges exactly.
+its letters from Philox4x64-10 (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) keyed by (splitmix64(master_seed + (walker_offset + i)
+* GOLDEN), 0); block j = 1, 2, ... of its stream is the cipher of the counter
+(j, 0, 0, 0) and gives four doubles (u >> 11) * 2**-53, the stream of
+``numpy.random.Generator(numpy.random.Philox(key=k)).random()``.  Identical
+specs give byte-identical outputs and splitting an ensemble across runs merges
+exactly.  All walkers' streams run as one array program, LETTER_BLOCK steps at
+a time.
 """
 from __future__ import annotations
 
@@ -16,11 +21,18 @@ import numpy as np
 from .errors import (BoundednessViolation, NonFiniteProxy, PingPongViolation,
                      SpecInvalid)
 from .measures import StepLaw
-from .models.schottky import INVERSE, SchottkyGroup, core_distances, step_batch
+from .models.schottky import (INVERSE, SchottkyGroup, core_distances,
+                              generator_components, step_batch)
 from .models.sl2 import reduce_batch, shortest_lengths
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
+#: Philox4x64 round multipliers and Weyl key increments
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+#: steps of letters drawn at a time: a run holds n_walkers x LETTER_BLOCK
+#: letters, not n_walkers x n_steps; a multiple of 4, the doubles per block
+LETTER_BLOCK = 8
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 CSV_HEADER = ("n", "threshold", "retained_fraction", "wilson_lo", "wilson_hi",
@@ -33,8 +45,9 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-def splitmix64(x: int) -> int:
-    """One step of the splitmix64 output function; the per-walker key schedule."""
+def splitmix64(x):
+    """One step of the splitmix64 output function; the per-walker key schedule.
+    Takes a Python int or a uint64 array, which wraps as the masks do."""
     x = (x + GOLDEN) & MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
@@ -42,16 +55,17 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def walker_seed(master_seed: int, walker_index: int) -> int:
-    return splitmix64((master_seed + walker_index * GOLDEN) & MASK64)
+def walker_seed(master_seed: int, walker_index):
+    """The key of a walker, or of each walker of a uint64 index array."""
+    return splitmix64(((master_seed & MASK64) + walker_index * GOLDEN) & MASK64)
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One walker ensemble, checked when built: the chart must map every
     generator of the law (z-lattice ids start with "+" or "-", the sl2 charts
-    take a/A/b/B), and generator matrices must have determinant one and be in
-    ping-pong position."""
+    take a/A/b/B), generator matrices must have determinant one and be in
+    ping-pong position, and every snapshot step must lie in 0..n_steps."""
     chart: str                                  # sl2-lattice | schottky | z-lattice
     mu: StepLaw
     n_walkers: int
@@ -80,6 +94,10 @@ class EnsembleSpec:
                 pass    # the escape hypothesis fails: run_ensemble reports it
             except PingPongViolation as e:
                 raise SpecInvalid(str(e)) from e
+        for n in self.snapshot_schedule:
+            if not 0 <= n <= self.n_steps:
+                raise ValueError(
+                    f"snapshot step {n} is outside the run's 0..{self.n_steps}")
         if not self.snapshot_schedule:
             object.__setattr__(self, "snapshot_schedule",
                                tuple(sorted({self.n_steps // 4, self.n_steps // 2,
@@ -159,28 +177,106 @@ def _chart_group(spec: EnsembleSpec) -> SchottkyGroup:
 
 
 def _chart_generators(spec: EnsembleSpec):
-    """Generator symbol order, matrices, and the retained predicate for the chart."""
+    """The generators as the chart's walk reads them, and the Schottky group.
+
+    z-lattice: the step of each letter; sl2-lattice: rows g00, g01, g10, g11
+    of the half-plane matrices, (4, k); schottky: ``generator_components`` of
+    the disk matrices, (8, k).
+    """
     ids = [g.id for g in spec.mu.support]
     if spec.chart == "z-lattice":
         steps = np.array([1 if str(i).startswith("+") else -1 for i in ids],
                          dtype=np.int64)
-        return ids, steps, None
+        return steps, None
     group = _chart_group(spec)
-    source = group.disk if spec.chart == "schottky" else group.halfplane
-    mats = np.stack([source[i] for i in ids])
-    return ids, mats, group
+    if spec.chart == "schottky":
+        return generator_components([group.disk[i] for i in ids]), group
+    mats = np.stack([group.halfplane[i] for i in ids])
+    return np.ascontiguousarray(mats.reshape(-1, 4).T), group
 
 
-def _letters(spec: EnsembleSpec) -> np.ndarray:
-    """Per-walker letter indices, (n_walkers, n_steps), from counter-based streams."""
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of m * x.  numpy has no 128-bit product, so
+    the high half is summed from products of 32-bit halves; no partial sum
+    exceeds 2**64 - 1."""
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & low, x >> half
+    t = x_hi * m_lo + (x_lo * m_lo >> half)
+    u = x_lo * m_hi + (t & low)
+    return x_hi * m_hi + (t >> half) + (u >> half), x * np.uint64(m)
+
+
+def philox_uniforms(keys: np.ndarray, first_block: int,
+                    n_blocks: int) -> np.ndarray:
+    """Doubles 4 * first_block ... 4 * (first_block + n_blocks) - 1 of each
+    key's stream, (4 * n_blocks, len(keys)): Philox4x64-10 of the counters
+    (first_block + 1, 0, 0, 0), ... under the keys (key, 0)."""
+    shape = (n_blocks, len(keys))
+    x0 = np.broadcast_to(np.arange(first_block + 1, first_block + n_blocks + 1,
+                                   dtype=np.uint64)[:, None], shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    for r in range(10):
+        k0 = keys + np.uint64(r * PHILOX_W[0] & MASK64)
+        k1 = np.uint64(r * PHILOX_W[1] & MASK64)
+        hi0, lo0 = _mulhilo(PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    bits = np.stack((x0, x1, x2, x3), axis=1).reshape(4 * n_blocks, len(keys))
+    return (bits >> np.uint64(11)) * 2.0 ** -53
+
+
+def _letter_blocks(spec: EnsembleSpec):
+    """Each walker's letter indices, LETTER_BLOCK steps at a time, as
+    (steps, n_walkers) arrays."""
     cum = np.cumsum([w for _, w in spec.mu.atoms])
     cum[-1] = 1.0
-    out = np.empty((spec.n_walkers, spec.n_steps), dtype=np.int64)
-    for i in range(spec.n_walkers):
-        key = walker_seed(spec.master_seed, spec.walker_offset + i)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        out[i] = np.searchsorted(cum, rng.random(spec.n_steps), side="right")
-    return out
+    keys = walker_seed(spec.master_seed, np.arange(
+        spec.walker_offset, spec.walker_offset + spec.n_walkers,
+        dtype=np.uint64))
+    for t0 in range(0, spec.n_steps, LETTER_BLOCK):
+        steps = min(LETTER_BLOCK, spec.n_steps - t0)
+        u = philox_uniforms(keys, t0 // 4, -(-steps // 4))[:steps]
+        # the letter is the number of cumulative weights <= u, as
+        # np.searchsorted(cum, u, side="right") finds it, several times faster
+        letters = np.zeros(u.shape, dtype=np.intp)
+        for c in cum[:-1]:
+            letters += u >= c
+        yield letters
+
+
+def _walk(spec: EnsembleSpec, gens: np.ndarray):
+    """Yield (n, state) for n = 0, ..., n_steps, the state being every
+    walker's chart point as component arrays: (position,) on the z-lattice,
+    the basis (a, b, c, d) on sl2-lattice, the matrix row
+    (re x, im x, re y, im y) on schottky.  Arrays yielded are not modified
+    later."""
+    n = spec.n_walkers
+    t = 0
+    if spec.chart == "z-lattice":
+        pos = np.zeros(n, dtype=np.int64)
+        yield 0, (pos,)
+        for letters in _letter_blocks(spec):
+            path = pos + np.cumsum(gens[letters], axis=0)
+            for pos in path:
+                t += 1
+                yield t, (pos,)
+        return
+    # the identity: basis e1, e2; matrix row (1, 0)
+    state = (np.ones(n), np.zeros(n), np.zeros(n),
+             np.ones(n) if spec.chart == "sl2-lattice" else np.zeros(n))
+    yield 0, state
+    for letters in _letter_blocks(spec):
+        for k in letters:
+            t += 1
+            if spec.chart == "schottky":
+                state = step_batch(state, gens, k)
+            else:
+                p, q, r, s = gens[:, k]
+                a, b, c, d = state
+                state = reduce_batch((p * a + q * c, p * b + q * d,
+                                      r * a + s * c, r * b + s * d))
+            yield t, state
 
 
 def _retained(spec: EnsembleSpec, proxies: np.ndarray, thr: float) -> np.ndarray:
@@ -191,49 +287,24 @@ def _retained(spec: EnsembleSpec, proxies: np.ndarray, thr: float) -> np.ndarray
 
 def run_ensemble(spec: EnsembleSpec) -> RetentionCurve:
     """Evolve the ensemble and report retention fractions with 95% intervals."""
-    ids, gen_data, group = _chart_generators(spec)
-    letters = _letters(spec)
+    gens, group = _chart_generators(spec)
     schedule = set(spec.snapshot_schedule)
     rows: list[RetentionRow] = []
-
-    def record(n: int, proxies: np.ndarray):
+    for n, state in _walk(spec, gens):
+        if n not in schedule:
+            continue
+        if spec.chart == "z-lattice":
+            proxies = np.abs(state[0]).astype(float)
+        elif spec.chart == "sl2-lattice":
+            proxies = shortest_lengths(state)
+        else:
+            proxies = core_distances(group, state)
         # NaN compares False with every threshold: it must not read as escaped
         if not np.isfinite(proxies).all():
             raise NonFiniteProxy(f"a walker's escape proxy is not finite at step {n}")
         for thr in spec.proxy_thresholds:
             k = int(np.count_nonzero(_retained(spec, proxies, thr)))
             rows.append(_row(n, thr, k, spec.n_walkers, spec.master_seed))
-
-    if spec.chart == "z-lattice":
-        pos = np.zeros(spec.n_walkers, dtype=np.int64)
-        if 0 in schedule:
-            record(0, np.abs(pos).astype(float))
-        for t in range(spec.n_steps):
-            pos += gen_data[letters[:, t]]
-            if t + 1 in schedule:
-                record(t + 1, np.abs(pos).astype(float))
-        return RetentionCurve(spec, rows)
-
-    if spec.chart == "sl2-lattice":
-        bases = np.broadcast_to(np.eye(2), (spec.n_walkers, 2, 2)).copy()
-        if 0 in schedule:
-            record(0, shortest_lengths(bases))
-        for t in range(spec.n_steps):
-            bases = np.einsum("nij,njk->nik", gen_data[letters[:, t]], bases)
-            bases = reduce_batch(bases)
-            if t + 1 in schedule:
-                record(t + 1, shortest_lengths(bases))
-        return RetentionCurve(spec, rows)
-
-    # schottky
-    mats = np.broadcast_to(np.eye(2, dtype=complex),
-                           (spec.n_walkers, 2, 2)).copy()
-    if 0 in schedule:
-        record(0, core_distances(group, mats))
-    for t in range(spec.n_steps):
-        mats = step_batch(mats, gen_data, letters[:, t])
-        if t + 1 in schedule:
-            record(t + 1, core_distances(group, mats))
     return RetentionCurve(spec, rows)
 
 

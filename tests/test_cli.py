@@ -277,6 +277,19 @@ CONFIG_MISTAKES = {
     "determinant-two-generator": lambda t: (ensemble_config(
         t, FREE_LAW, chart="schottky", generator_a=[[2, 0], [0, 1]]),
         "generator a has determinant 2.0"),
+    # snapshots past the horizon: the sl2 row for step 20 was silently
+    # missing (exit 0), the contrast ended in a KeyError traceback
+    "sl2-snapshot-past-horizon": lambda t: (ensemble_config(
+        t, FREE_LAW, chart="sl2-lattice", n_steps=10, snapshots=[5, 20]),
+        "snapshot step 20 is outside the run's 0..10"),
+    "contrast-snapshot-past-horizon": lambda t: ({
+        "experiment": "contrast", "law": FREE_LAW,
+        "ensemble_finite": {"chart": "sl2-lattice", "n_walkers": 100,
+                            "n_steps": 10, "snapshots": [5, 20]},
+        "ensemble_infinite": {"chart": "schottky", "n_walkers": 100,
+                              "n_steps": 10, "snapshots": [5, 10]},
+        "out": ensemble_config(t, FREE_LAW)["out"]},
+        "snapshot step 20 is outside the run's 0..10"),
 }
 
 

@@ -17,6 +17,14 @@ from massdrift.fibers import (FiberWord, FiniteFiberModel, GroupTable,
 from massdrift.measures import GeneratorId, Observable, StepLaw
 
 
+def make_word(m: FiniteFiberModel, letters) -> FiberWord:
+    """A word with its product weight under the model's step law."""
+    w = 1.0
+    for b in letters:
+        w *= m.mu.weight_of(b)
+    return FiberWord(tuple(letters), w)
+
+
 def z2_uniform():
     g = cyclic_group(2)
     return FiniteFiberModel.translation(g, law_on_group(g, {0: 0.5, 1: 0.5}))
@@ -80,7 +88,7 @@ class TestPhiFormula:
     def test_n_zero_is_pointwise(self):
         m = z2_uniform()
         f = indicator_at(m, 0)
-        b = FiberWord.make(m, (1, 0))
+        b = make_word(m, (1, 0))
         assert phi_formula(m, 0, b, 0, f) == 1.0
         assert phi_formula(m, 0, b, 1, f) == 0.0
 
@@ -88,14 +96,14 @@ class TestPhiFormula:
         m = z2_uniform()
         f = indicator_at(m, 0)
         for letters in ((0,), (1,)):
-            b = FiberWord.make(m, letters)
+            b = make_word(m, letters)
             for x in m.space:
                 assert phi_formula(m, 1, b, x, f) == pytest.approx(0.5)
 
     def test_constant_observable_fixed(self):
         m = z3_skewed()
         f = Observable({x: 2.5 for x in m.space})
-        b = FiberWord.make(m, (1, 2, 0))
+        b = make_word(m, (1, 2, 0))
         for n in range(4):
             assert phi_formula(m, n, b, 1, f) == pytest.approx(2.5, abs=1e-12)
 
@@ -103,7 +111,7 @@ class TestPhiFormula:
         g = cyclic_group(4)
         m = FiniteFiberModel.translation(g, law_on_group(g, {1: 1.0}))
         f = indicator_at(m, 2)
-        b = FiberWord.make(m, (1, 1))
+        b = make_word(m, (1, 1))
         # two inverse letters pull x back by 2, two forward letters restore it
         for x in m.space:
             assert phi_formula(m, 2, b, x, f) == (1.0 if x == 2 else 0.0)
@@ -113,14 +121,14 @@ class TestPhiFormula:
             f = indicator_at(m, m.space[0])
             for n in range(3):
                 for letters, _ in support_words(m, 3):
-                    b = FiberWord.make(m, letters)
+                    b = make_word(m, letters)
                     for x in m.space:
                         assert phi_formula(m, n, b, x, f) == pytest.approx(
                             phi_direct(m, n, b, x, f), abs=1e-12)
 
     def test_word_too_short_rejected(self):
         m = z2_uniform()
-        b = FiberWord.make(m, (0,))
+        b = make_word(m, (0,))
         with pytest.raises(ValueError):
             phi_formula(m, 2, b, 0, indicator_at(m, 0))
 
@@ -130,7 +138,7 @@ class TestSupNormContraction:
         m = z3_skewed()
         f = Observable({0: -1.0, 1: 0.5, 2: 2.0})
         for letters, _ in support_words(m, 2):
-            b = FiberWord.make(m, letters)
+            b = make_word(m, letters)
             for n in range(3):
                 for x in m.space:
                     assert abs(phi_formula(m, n, b, x, f)) <= f.sup_norm + 1e-12
@@ -180,7 +188,7 @@ class TestMartingaleCauchy:
         # oracle: enumerate moved points and compare phi_{n+1} with phi_n
         worst = 0.0
         for letters, _ in support_words(m, 4):
-            b = FiberWord.make(m, letters)
+            b = make_word(m, letters)
             for x in m.space:
                 for n in range(1):
                     worst = max(worst, abs(phi_formula(m, n + 1, b, x, f) -

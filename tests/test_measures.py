@@ -3,13 +3,17 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from massdrift.errors import ActionUndefined
+from massdrift.errors import MassdriftError
 from massdrift.measures import (GeneratorId, Observable, StateVector, StepLaw,
                                 invert_law, is_symmetric, pair, window_mass)
 
 PLUS = GeneratorId("+1", "-1")
 MINUS = GeneratorId("-1", "+1")
 IDENT = GeneratorId("e", "e")
+
+
+class ActionUndefined(MassdriftError):
+    """A generator/state pair has no defined image."""
 
 
 def z_action(gid, x):
@@ -153,7 +157,9 @@ class TestPairing:
         n1 = StateVector({0: 0.5, 1: 0.5})
         n2 = StateVector({1: 0.25, 2: 0.75})
         f = Observable({0: 1.0, 1: -3.0, 2: 2.0})
-        combo = n1.scale(a / 2).add(n2.scale(b / 2))
+        def scaled(nu, c):
+            return StateVector({x: c * m for x, m in nu.entries.items()})
+        combo = scaled(n1, a / 2).add(scaled(n2, b / 2))
         assert math.isclose(pair(combo, f),
                             (a / 2) * pair(n1, f) + (b / 2) * pair(n2, f),
                             abs_tol=1e-12)

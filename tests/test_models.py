@@ -13,10 +13,67 @@ from massdrift.models import (BooleOrbitSpec, FunnelChainSpec, SchottkyGroup,
                               build_lattice_model, preimage_jacobian_sum,
                               srw_law)
 from massdrift.models.schottky import (INVERSE, LETTERS, core_distances,
-                                       default_generator_matrices, step_batch,
+                                       default_generator_matrices,
+                                       generator_components, step_batch,
                                        to_disk, translation_length)
-from massdrift.models.sl2 import reduce_batch, shortest_lengths
-from massdrift.montecarlo import EnsembleSpec, _letters, run_ensemble
+from massdrift.models.sl2 import TIE_TOL, reduce_batch, shortest_lengths
+from massdrift.montecarlo import EnsembleSpec, _letter_blocks, run_ensemble
+
+
+# -- stacked chart oracles ---------------------------------------------------
+# Walker matrices as (n, 2, 2) stacks, stepped with np.einsum: the library
+# works on component arrays and must match these bit for bit.
+
+def reduce_stack(bases: np.ndarray, max_iter: int = 64) -> np.ndarray:
+    """Gauss-reduce a stack of bases (n, 2, 2) in place, every walker on
+    every pass; a basis in a +-1/2 tie is accepted after ``max_iter``."""
+    b = bases
+    for _ in range(max_iter):
+        n0 = b[:, 0, 0] ** 2 + b[:, 1, 0] ** 2
+        n1 = b[:, 0, 1] ** 2 + b[:, 1, 1] ** 2
+        swap = n0 > n1
+        if swap.any():
+            b[swap] = np.stack((b[swap][:, :, 1], -b[swap][:, :, 0]), axis=2)
+            n0 = np.where(swap, n1, n0)
+        dot = b[:, 0, 0] * b[:, 0, 1] + b[:, 1, 0] * b[:, 1, 1]
+        m = np.round(dot / n0)
+        if not m.any():
+            return b
+        b[:, :, 1] -= m[:, None] * b[:, :, 0]
+    n0 = np.minimum(b[:, 0, 0] ** 2 + b[:, 1, 0] ** 2,
+                    b[:, 0, 1] ** 2 + b[:, 1, 1] ** 2)
+    dot = b[:, 0, 0] * b[:, 0, 1] + b[:, 1, 0] * b[:, 1, 1]
+    if np.all(np.abs(dot / n0) <= 0.5 + TIE_TOL):
+        return b
+    raise DegenerateBasis("batched reduction did not terminate")
+
+
+def sl2_step_stack(bases: np.ndarray, gen_mats: np.ndarray,
+                   letter_idx: np.ndarray) -> np.ndarray:
+    """Left-multiply a stack of bases by per-walker generators and reduce."""
+    return reduce_stack(np.einsum("nij,njk->nik", gen_mats[letter_idx], bases))
+
+
+def schottky_step_stack(mats: np.ndarray, gen_mats: np.ndarray,
+                        letter_idx: np.ndarray) -> np.ndarray:
+    """Right-multiply a stack of walker matrices by per-walker letters."""
+    return np.einsum("nij,njk->nik", mats, gen_mats[letter_idx])
+
+
+def shortest_stack(bases: np.ndarray) -> np.ndarray:
+    n0 = np.sqrt(bases[:, 0, 0] ** 2 + bases[:, 1, 0] ** 2)
+    n1 = np.sqrt(bases[:, 0, 1] ** 2 + bases[:, 1, 1] ** 2)
+    return np.minimum(n0, n1)
+
+
+def core_stack(group: SchottkyGroup, mats: np.ndarray) -> np.ndarray:
+    d = 2.0 * np.arcsinh(np.abs(mats[:, 0, 1]))
+    return np.maximum(0.0, d - group.core_radius)
+
+
+def components(bases: np.ndarray) -> tuple:
+    """A stack (n, 2, 2) as the component arrays (a, b, c, d)."""
+    return tuple(bases[:, i, j].copy() for i in (0, 1) for j in (0, 1))
 
 
 # -- scalar chart oracles ----------------------------------------------------
@@ -271,10 +328,9 @@ class TestSl2Lattice:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
         bases = np.stack([g.astype(float) for g in random_sl2z(rng, 40)])
-        red = reduce_batch(bases.copy())
+        a, b, c, d = red = reduce_batch(components(bases))
         lens = shortest_lengths(red)
-        dets = red[:, 0, 0] * red[:, 1, 1] - red[:, 0, 1] * red[:, 1, 0]
-        assert np.allclose(dets, 1.0)
+        assert np.allclose(a * d - b * c, 1.0)
         for i in range(len(bases)):
             p = Sl2LatticePoint.from_basis(bases[i])
             assert lens[i] == pytest.approx(p.shortest_len, abs=1e-9)
@@ -291,7 +347,7 @@ class TestSl2Lattice:
         group = SchottkyGroup()
         p = Sl2LatticePoint.identity()
         lengths = [p.shortest_len]
-        for k in _letters(spec)[0]:
+        for k in np.concatenate(list(_letter_blocks(spec)))[:, 0]:
             p = sl2_step(p, group.halfplane[LETTERS[k]])
             lengths.append(p.shortest_len)
         for r in run_ensemble(spec).rows:
@@ -300,7 +356,21 @@ class TestSl2Lattice:
     def test_unreduced_basis_still_raises(self):
         bases = np.array([[[5.0, 8.0], [3.0, 5.0]]])   # needs several steps
         with pytest.raises(DegenerateBasis):
-            reduce_batch(bases, max_iter=1)
+            reduce_batch(components(bases), max_iter=1)
+        with pytest.raises(DegenerateBasis):
+            reduce_stack(bases.copy(), max_iter=1)
+        red = reduce_batch(components(bases), max_iter=4)
+        assert red == pytest.approx((1.0, 0.0, 0.0, 1.0))
+
+    def test_reduction_matches_stack_oracle(self):
+        """The active-set reduction equals reducing every walker on every
+        pass, entry for entry, on bases needing up to many passes."""
+        rng = np.random.default_rng(6)
+        bases = np.stack([g.astype(float) for g in random_sl2z(rng, 200)])
+        bases = bases @ np.diag([1.7, 1 / 1.7])
+        red = reduce_batch(components(bases))
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(red, components(reduce_stack(bases.copy()))))
 
 
 class TestSchottky:
@@ -367,16 +437,16 @@ class TestSchottky:
         """step_batch + core_distances against the freely reduced scalar walk
         on the same letters."""
         group = SchottkyGroup()
-        gens = np.stack([group.disk[s] for s in LETTERS])
+        gens = generator_components([group.disk[s] for s in LETTERS])
         rng = np.random.default_rng(5)
         letters = rng.integers(4, size=(30, 60))
-        mats = np.broadcast_to(np.eye(2, dtype=complex), (30, 2, 2)).copy()
+        row = (np.ones(30), np.zeros(30), np.zeros(30), np.zeros(30))
         points = [SchottkyPoint.basepoint(group) for _ in range(30)]
         for t in range(60):
-            mats = step_batch(mats, gens, letters[:, t])
+            row = step_batch(row, gens, letters[:, t])
             points = [schottky_step(p, LETTERS[k])
                       for p, k in zip(points, letters[:, t])]
-            dists = core_distances(group, mats)
+            dists = core_distances(group, row)
             for d, p in zip(dists, points):
                 assert d == pytest.approx(p.core_distance, abs=1e-6)
 
