@@ -10,11 +10,11 @@ from massdrift.measures import GeneratorId, StepLaw
 from massdrift.models import build_lattice_model
 from massdrift.models.schottky import INVERSE, core_distances
 from massdrift.models.sl2 import shortest_lengths
-from massdrift.montecarlo import (LETTER_BLOCK, EnsembleSpec, _chart_group,
-                                  _letter_blocks, _walk, _chart_generators,
-                                  compare_volumes, philox_uniforms,
-                                  run_ensemble, split_run, splitmix64,
-                                  walker_seed, wilson_interval)
+from massdrift.montecarlo import (LETTER_BLOCK, EnsembleSpec,
+                                  _chart_generators, _chart_group,
+                                  _letter_blocks, _walk, compare_volumes,
+                                  philox_uniforms, run_ensemble, split_run,
+                                  splitmix64, walker_seed, wilson_interval)
 from test_models import (core_stack, schottky_step_stack, shortest_stack,
                          sl2_step_stack)
 
@@ -71,6 +71,7 @@ def walk_oracle(spec: EnsembleSpec):
 
 
 def streamed_letters(spec: EnsembleSpec) -> np.ndarray:
+    """The library's letter blocks joined, (n_walkers, n_steps)."""
     blocks = list(_letter_blocks(spec))
     assert all(len(b) <= LETTER_BLOCK for b in blocks)
     return np.concatenate(blocks).T
