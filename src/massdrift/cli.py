@@ -186,6 +186,11 @@ def _window_states(model: MarkovModel, lo: int, hi: int) -> list:
     return [s for s in box if s in model.index]
 
 
+#: experiments whose walk stops at n_steps, so a later snapshot would be
+#: silently missing; cesaro steps on to its snapshots by itself
+_STOP_AT_HORIZON = ("evolve", "funnel")
+
+
 def build(config: dict) -> Setup:
     """Build the model, law, start, window and specs of a schema-valid config.
 
@@ -197,6 +202,11 @@ def build(config: dict) -> Setup:
     n_steps = schedule.get("n_steps", 0)
     s = Setup(n_steps, config.get("n_max", n_steps), schedule.get("snapshots"), f"{lo}..{hi}")
     try:
+        if config["experiment"] in _STOP_AT_HORIZON:
+            for n in s.snapshots or ():
+                if n > n_steps:
+                    raise ValueError(
+                        f"snapshot step {n} is outside the run's 0..{n_steps}")
         if "law" in config:
             s.law = StepLaw(tuple((GeneratorId(a["id"], a["inverse"]), a["weight"])
                                   for a in config["law"]["atoms"]))

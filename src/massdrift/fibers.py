@@ -3,13 +3,18 @@
 Everything here runs on fully enumerable models: a finite group with an
 explicit multiplication table acting on a finite space carrying an invariant
 weight.  The word space is truncated to finite length, so "almost every"
-statements become "for every word in the support".
+statements become "for every word in the support".  Group elements, points
+and words are integer positions in index tables, so each function computes
+its quantity for every word and point of one (model, n) at once.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Mapping
+
+import numpy as np
 
 from .errors import SpecInvalid
 from .kernel import MarkovModel, back_and_forth
@@ -45,10 +50,24 @@ class GroupTable:
                      self.mult[(g, self.mult[(h, k)])],
                      f"({g!r}, {h!r}, {k!r}) breaks associativity")
 
-    def product(self, word: Sequence[GroupElem]) -> GroupElem:
-        out = self.identity
-        for g in word:
-            out = self.mult[(out, g)]
+    @cached_property
+    def index_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``mult`` and ``inv`` over positions in ``elements``: mult[i, j] is
+        the position of elements[i] * elements[j], inv[i] that of the inverse
+        of elements[i]."""
+        pos = {g: i for i, g in enumerate(self.elements)}
+        mult = np.array([[pos[self.mult[(g, h)]] for h in self.elements]
+                         for g in self.elements], dtype=np.intp)
+        inv = np.array([pos[self.inv[g]] for g in self.elements], dtype=np.intp)
+        return mult, inv
+
+    def products(self, letters: np.ndarray) -> np.ndarray:
+        """Position of the product of each row of ``letters`` (element
+        positions), multiplied left to right from the identity."""
+        mult = self.index_tables[0]
+        out = np.full(len(letters), self.elements.index(self.identity))
+        for j in range(letters.shape[1]):
+            out = mult[out, letters[:, j]]
         return out
 
 
@@ -112,24 +131,24 @@ class FiniteFiberModel:
             _require(gen.id in g.elements and g.inv[gen.id] == gen.inverse_id,
                      f"law atom {gen.id!r} does not match the group")
 
-    def word_inverse_prefix(self, letters: Sequence[GroupElem], n: int) -> GroupElem:
-        """Product b_n^-1 ... b_1^-1 (leftmost letter is the inverse of b_n)."""
-        return self.group.product([self.group.inv[b] for b in reversed(letters[:n])])
+    @cached_property
+    def action_table(self) -> np.ndarray:
+        """act[g, x]: position in ``space`` of group element g (a position in
+        ``group.elements``) acting on space[x]."""
+        pos = {x: i for i, x in enumerate(self.space)}
+        return np.array([[pos[self.action(g, x)] for x in self.space]
+                         for g in self.group.elements], dtype=np.intp)
 
-    def skew_iterate(self, letters: Sequence[GroupElem], x: StateId,
-                     n: int) -> tuple[tuple, StateId]:
-        """Apply the fibred shift n times: drop n letters, move the point by their inverses."""
-        y = x
-        for i in range(n):
-            y = self.action(self.group.inv[letters[i]], y)
-        return tuple(letters[n:]), y
-
-    def to_markov_model(self) -> MarkovModel:
+    @cached_property
+    def markov_model(self) -> MarkovModel:
+        """The walk as a kernel model, built once; its transition matrices
+        are cached per law."""
         return MarkovModel(states=list(self.space), reference=self.lam,
                            action=self.action, name="finite-fiber")
 
-    def step_law_support(self) -> list[tuple[GroupElem, float]]:
-        return [(g.id, w) for g, w in self.mu.atoms]
+    def values(self, f: Observable | ReferenceWeights) -> np.ndarray:
+        """f at every point of ``space``."""
+        return np.array([f(x) for x in self.space], dtype=float)
 
 
 def law_on_group(group: GroupTable, weights: Mapping[GroupElem, float]) -> StepLaw:
@@ -138,121 +157,115 @@ def law_on_group(group: GroupTable, weights: Mapping[GroupElem, float]) -> StepL
         (GeneratorId(g, group.inv[g]), w) for g, w in weights.items()))
 
 
-@dataclass(frozen=True)
-class FiberWord:
-    """A finite word of group letters with its product weight under the step law."""
-    letters: tuple
-    weight: float
+def word_table(m: FiniteFiberModel, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every word of ``length`` letters from the law's support, in the order
+    ``itertools.product`` gives over the law's atoms: a (words x length)
+    array of element positions, and each word's weight, the product of its
+    letters' weights taken left to right."""
+    pos = {g: i for i, g in enumerate(m.group.elements)}
+    atoms = np.array([pos[g.id] for g, _ in m.mu.atoms], dtype=np.intp)
+    probs = np.array([w for _, w in m.mu.atoms])
+    k = len(atoms)
+    # word c has atom (c // k**(length-1-j)) % k at letter j: the first
+    # letter varies slowest
+    digits = (np.arange(k ** length)[:, None]
+              // k ** np.arange(length - 1, -1, -1) % k)
+    weights = np.ones(len(digits))
+    for j in range(length):
+        weights = weights * probs[digits[:, j]]
+    return atoms[digits], weights
 
 
-def support_words(m: FiniteFiberModel, n: int):
-    """All length-n words with positive weight, paired with their weights."""
-    sup = m.step_law_support()
-    for combo in itertools.product(sup, repeat=n):
-        letters = tuple(g for g, _ in combo)
-        w = 1.0
-        for _, p in combo:
-            w *= p
-        yield letters, w
-
-
-def phi_formula(m: FiniteFiberModel, n: int, b: FiberWord, x: StateId,
-                f: Observable) -> float:
-    """Fiber-average formula: integrate f(a_1...a_n b_n^-1...b_1^-1 x) over words a."""
-    if n > len(b.letters):
+def _word_length(n: int, length: int | None) -> int:
+    length = n if length is None else length
+    if n > length:
         raise ValueError("word shorter than n")
-    y = m.action(m.word_inverse_prefix(b.letters, n), x)
-    total = 0.0
-    for a, w in support_words(m, n):
-        total += w * f(m.action(m.group.product(a), y))
-    return total
+    return length
 
 
-def phi_direct(m: FiniteFiberModel, n: int, b: FiberWord, x: StateId,
-               f: Observable) -> float:
-    """Conditional expectation computed from the definition, by brute force.
+def _word_means(m: FiniteFiberModel, n: int, f: Observable) -> np.ndarray:
+    """For every point y, the sum of w_a * f(a_1...a_n y) over the length-n
+    support words a, added in word order."""
+    letters, weights = word_table(m, n)
+    landed = m.action_table[m.group.products(letters)]      # (words, points)
+    terms = weights[:, None] * m.values(f)[landed]
+    return np.add.accumulate(terms, axis=0)[-1]
 
-    Enumerates every candidate point of the truncated word-times-space system,
-    keeps those whose n-th skew iterate matches that of (b, x), and averages f
-    with the product-times-reference weights.  Independent of phi_formula: fiber
+
+def _inverse_prefix_moves(m: FiniteFiberModel, letters: np.ndarray,
+                          n: int) -> np.ndarray:
+    """(words, points): position of b_n^-1 ... b_1^-1 x for every word b
+    and point x, the inverse-prefix product multiplied left to right."""
+    inv = m.group.index_tables[1]
+    return m.action_table[m.group.products(inv[letters[:, :n][:, ::-1]])]
+
+
+def phi_formula(m: FiniteFiberModel, n: int, f: Observable,
+                length: int | None = None) -> np.ndarray:
+    """Fiber-average formula: the integral of f(a_1...a_n b_n^-1...b_1^-1 x)
+    over words a, for every support word b of ``length`` letters (default n)
+    and every point x.  Rows follow ``word_table(m, length)``, columns
+    ``m.space``."""
+    letters, _ = word_table(m, _word_length(n, length))
+    return _word_means(m, n, f)[_inverse_prefix_moves(m, letters, n)]
+
+
+def phi_direct(m: FiniteFiberModel, n: int, f: Observable,
+               length: int | None = None) -> np.ndarray:
+    """Conditional expectation computed from the definition, by brute force,
+    for every support word b of ``length`` letters (default n) and every
+    point x, laid out as ``phi_formula``'s table.
+
+    Every candidate (word, point) of the truncated word-times-space system
+    takes n steps of the skew map: drop a letter, move the point by its
+    inverse.  Candidates that land on the same (remaining letters, point)
+    form one fiber; f is averaged over it with the product-times-reference
+    weights, added in candidate order.  Independent of phi_formula: fiber
     membership is decided by iterating the map, never by the algebraic chart.
     """
-    if n > len(b.letters):
-        raise ValueError("word shorter than n")
-    target = m.skew_iterate(b.letters, x, n)
-    num = 0.0
-    den = 0.0
-    n_total = len(b.letters)
-    for letters, w_word in support_words(m, n_total):
-        for x2 in m.space:
-            if m.skew_iterate(letters, x2, n) == target:
-                w = w_word * m.lam(x2)
-                num += w * f(x2)
-                den += w
-    if den == 0.0:
-        raise ValueError("empty fiber: word outside the law's support")
-    return num / den
+    length = _word_length(n, length)
+    letters, weights = word_table(m, length)
+    inv = m.group.index_tables[1]
+    n_points = len(m.space)
+    point = np.broadcast_to(np.arange(n_points), (len(letters), n_points))
+    for i in range(n):
+        point = m.action_table[inv[letters[:, i]][:, None], point]
+    # in word_table's order the last length-n letters of word c are
+    # numbered c % k**(length-n), k the number of atoms
+    rest = np.arange(len(letters)) % len(m.mu.atoms) ** (length - n)
+    fiber = (rest[:, None] * n_points + point).ravel()
+    w = weights[:, None] * m.values(m.lam)
+    # bincount adds in input order: words outer, points inner
+    num = np.bincount(fiber, weights=(w * m.values(f)).ravel())
+    den = np.bincount(fiber, weights=w.ravel())
+    return (num[fiber] / den[fiber]).reshape(len(letters), n_points)
 
 
-def backforth_identity(m: FiniteFiberModel, n: int, x: StateId,
-                       f: Observable) -> tuple[float, float]:
-    """Both sides of the averaging identity linking fiber means to back-and-forths.
+def backforth_identity(m: FiniteFiberModel, n: int,
+                       f: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the averaging identity linking fiber means to
+    back-and-forths, at every point x of ``m.space``.
 
     Left: average of phi over length-n words with their product weights.
     Right: the alternating-sequence entry n evaluated against f, computed by
     the kernel engine (independent code path).
     """
-    # phi depends on the word only through the moved point; group weights by it
-    weight_by_point: dict = {}
-    for letters, w in support_words(m, n):
-        y = m.action(m.word_inverse_prefix(letters, n), x)
-        weight_by_point[y] = weight_by_point.get(y, 0.0) + w
-    lhs = 0.0
-    for y, w in weight_by_point.items():
-        mean = sum(wa * f(m.action(m.group.product(a), y))
-                   for a, wa in support_words(m, n))
-        lhs += w * mean
-    model = m.to_markov_model()
-    rhs = pair(back_and_forth(model, x, m.mu, n)[n], f)
+    letters, weights = word_table(m, n)
+    n_words, n_points = len(letters), len(m.space)
+    moved = _inverse_prefix_moves(m, letters, n).T           # (points, words)
+    # phi depends on the word only through the moved point y: total the
+    # word weights by (x, y) in word order, then add the terms of each x at
+    # the words where their point y first appears
+    xs = np.arange(n_points)[:, None]
+    by_point = np.bincount((xs * n_points + moved).ravel(),
+                           weights=np.tile(weights, n_points),
+                           minlength=n_points * n_points)
+    terms = by_point.reshape(n_points, n_points) * _word_means(m, n, f)
+    first = np.full((n_points, n_points), n_words)
+    np.minimum.at(first, (xs, moved), np.arange(n_words))
+    seq = np.where(first[xs, moved] == np.arange(n_words), terms[xs, moved],
+                   0.0)
+    lhs = np.add.accumulate(seq, axis=1)[:, -1]
+    rhs = np.array([pair(back_and_forth(m.markov_model, x, m.mu, n)[n], f)
+                    for x in m.space])
     return lhs, rhs
-
-
-def martingale_cauchy(m: FiniteFiberModel, f: Observable,
-                      n_max: int) -> list[float]:
-    """Successive sup-differences d_n = max |phi_{n+1} - phi_n| over the support.
-
-    Exact: phi_n(b, x) depends on the word only through the moved point
-    y = b_n^-1...b_1^-1 x, and the word-average over a equals the n-fold
-    convolution power of the law on the group.  Maximizing over reachable
-    moved points therefore covers the full support without enumeration of
-    words, at cost linear in n_max.
-    """
-    group = m.group
-    # n-fold convolution powers of the law on the group
-    conv = {group.identity: 1.0}
-    powers = [dict(conv)]
-    sup = m.step_law_support()
-    for _ in range(n_max + 1):
-        nxt: dict = {}
-        for g, wg in conv.items():
-            for h, wh in sup:
-                gh = group.mult[(g, h)]
-                nxt[gh] = nxt.get(gh, 0.0) + wg * wh
-        conv = nxt
-        powers.append(dict(conv))
-
-    def mean_f(n: int, y: StateId) -> float:
-        return sum(w * f(m.action(g, y)) for g, w in powers[n].items())
-
-    inv_sup = [group.inv[g] for g, _ in sup]
-    reachable = set(m.space)
-    out = []
-    for n in range(n_max):
-        d = 0.0
-        for y in reachable:
-            fn = mean_f(n, y)
-            for c in inv_sup:
-                d = max(d, abs(mean_f(n + 1, m.action(c, y)) - fn))
-        out.append(d)
-        reachable = {m.action(c, y) for y in reachable for c in inv_sup}
-    return out

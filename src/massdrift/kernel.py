@@ -1,9 +1,9 @@
 """Markov-operator engine on countable (truncated) models.
 
 Exact evolution of n-step distributions, Cesaro averages, back-and-forth
-sequences, invariant-set checking, harmonic residuals and reversibility
-verification.  Models are either action-driven (a family of per-generator
-bijections plus a step law) or explicit sparse kernel rows.
+sequences, invariant-set checking and reversibility verification.  Models
+are either action-driven (a family of per-generator bijections plus a step
+law) or explicit sparse kernel rows.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import scipy.sparse as sp
 
 from .errors import (InconclusiveAtTruncation, SymmetryRequired,
                      TruncationOverflow)
-from .measures import (ActionOracle, Observable, ReferenceWeights, StateId,
-                       StateVector, StepLaw, invert_law, is_symmetric)
+from .measures import (ActionOracle, ReferenceWeights, StateId, StateVector,
+                       StepLaw, invert_law, is_symmetric)
 
 SNAPSHOT_PRUNE = 1e-15
 OVERFLOW_MASS = 1e-6
@@ -81,6 +81,16 @@ class MarkovModel:
         y = self.action(gen_id, x)
         return y if y in self.index else None
 
+    def _images(self, gen_id: Hashable) -> np.ndarray:
+        """Index of every state's image under one generator, ``n_states``
+        (the sink) where it leaves the truncation: ``neighbours`` when the
+        model gives it, otherwise one ``action`` call per state."""
+        if self.neighbours is not None:
+            return self.neighbours(gen_id)
+        n = self.n_states
+        return np.array([self.index.get(self.action(gen_id, x), n)
+                         for x in self.states], dtype=np.intp)
+
     def transition_matrix(self, mu: StepLaw | None = None) -> sp.csr_matrix:
         """Sparse (n+1)x(n+1) stochastic matrix; last index is the absorbing sink."""
         cached = self._mat_cache.get(mu)
@@ -99,12 +109,7 @@ class MarkovModel:
             if mu is None:
                 raise ValueError("action model needs a step law")
             # row i holds one entry per atom, in law order
-            if self.neighbours is not None:
-                images = np.stack([self.neighbours(g.id) for g, _ in mu.atoms],
-                                  axis=1)
-            else:
-                images = [[self.index.get(self.action(g.id, x), n)
-                           for g, _ in mu.atoms] for x in self.states]
+            images = np.stack([self._images(g.id) for g, _ in mu.atoms], axis=1)
             ci = np.ravel(images)
             ri = np.repeat(np.arange(n), len(mu.atoms))
             data = np.tile([w for _, w in mu.atoms], n)
@@ -209,7 +214,19 @@ class InvarianceReport:
     set_measure: float          # lambda(A); math.inf when flagged infinite
     operator_residual: float
     generator_residuals: dict
-    verdict: str                # "invariant" | "not-invariant" | "inconclusive-at-truncation"
+    #: "invariant" | "not-invariant"; a set that touches the truncation
+    #: boundary raises InconclusiveAtTruncation instead
+    verdict: str
+
+
+@dataclass
+class InvarianceBatch:
+    """Per-set arrays of ``check_invariant_sets``, one entry per mask row."""
+    set_measure: np.ndarray         # lambda(A); inf when flagged infinite
+    operator_residual: np.ndarray
+    generator_residuals: dict       # generator id, or "flow" -> array
+    inconclusive: np.ndarray        # touches the boundary, not the full set
+    invariant: np.ndarray           # the verdict; False where inconclusive
 
 
 @dataclass
@@ -406,96 +423,105 @@ def back_and_forth(model: MarkovModel, x: StateId, mu: StepLaw,
     return out
 
 
-def _operator_indicator(model: MarkovModel, A: frozenset,
-                        mu: StepLaw | None) -> float:
-    """sup over interior states of |P 1_A(x) - 1_A(x)|."""
+def _on_edge(model: MarkovModel) -> np.ndarray:
+    """Bool array over ``model.states``: True on the truncation boundary."""
+    return np.fromiter((x in model.boundary for x in model.states),
+                       dtype=bool, count=model.n_states)
+
+
+def _inconclusive(masks: np.ndarray, on_edge: np.ndarray) -> np.ndarray:
+    """Sets that touch the truncation boundary and are not the full set."""
+    return (masks & on_edge).any(axis=1) & ~masks.all(axis=1)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums added one column at a time, left to right, as a loop over
+    the states would (accumulate is sequential; np.sum adds pairwise)."""
+    if terms.shape[1] == 0:
+        return np.zeros(terms.shape[0])
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def check_invariant_sets(model: MarkovModel, masks: np.ndarray,
+                         mu: StepLaw | None = None,
+                         tol: float = 1e-10) -> InvarianceBatch:
+    """Both sides of the invariance equivalence for every row of ``masks``,
+    a (sets x states) bool array over ``model.states``.
+
+    Operator side: sup_x |P 1_A(x) - 1_A(x)| over interior states, from one
+    product of P with the masks.  Generator side: reference measure of the
+    symmetric difference g.A vs A over the interior, per generator, read
+    through preimage index arrays (s is in g.A iff g^-1 s is in A); for
+    kernel-row models, the probability flow out of A weighted by the
+    reference measure, through the sparse P.  A set that touches the
+    boundary and is not the full set is flagged ``inconclusive`` and is
+    never invariant.  Raises InconclusiveAtTruncation when an interior
+    state's preimage leaves the truncation.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    n = model.n_states
+    if masks.ndim != 2 or masks.shape[1] != n:
+        raise ValueError(f"masks must have shape (sets, {n}), not {masks.shape}")
     mat = _transition(model, mu)
-    ind = np.zeros(model.n_states + 1)
-    for a in A:
-        ind[model.index[a]] = 1.0
-    p_ind = mat @ ind
-    worst = 0.0
-    for x in model.interior:
-        i = model.index[x]
-        worst = max(worst, abs(float(p_ind[i]) - ind[i]))
-    return worst
+    on_edge = _on_edge(model)
+    interior = np.flatnonzero(~on_edge)
+    ref = np.fromiter((model.reference(x) for x in model.states),
+                      dtype=float, count=n)
+
+    ind = np.zeros((n + 1, len(masks)))       # the sink row stays 0
+    ind[:n] = masks.T
+    gap = (mat @ ind)[interior] - ind[interior]
+    op_res = np.abs(gap).max(axis=0, initial=0.0)
+
+    gen_res: dict = {}
+    if model.action is not None and mu is not None:
+        inside = masks[:, interior]
+        for g in mu.support:
+            pre = model._images(g.inverse_id)[interior]
+            if (pre == n).any():
+                raise InconclusiveAtTruncation(
+                    f"generator {g.id!r} preimage leaves the truncation")
+            moved = masks[:, pre] != inside
+            gen_res[g.id] = _row_sums(np.where(moved, ref[interior], 0.0))
+    elif model.rows is not None:
+        # (masks . lambda) P, through the sparse P; the sink row is 0
+        out_flow = (mat.T @ (ind * np.append(ref, 0.0)[:, None]))[:n].T
+        gen_res["flow"] = _row_sums(np.where(masks, 0.0, out_flow))
+
+    lam = _row_sums(np.where(masks, ref, 0.0))
+    if model.reference.total_is_infinite:
+        lam[masks[:, interior].all(axis=1)] = np.inf
+    inconclusive = _inconclusive(masks, on_edge)
+    ok = op_res <= tol
+    for res in gen_res.values():
+        ok &= res <= tol
+    return InvarianceBatch(lam, op_res, gen_res, inconclusive,
+                           ok & ~inconclusive)
 
 
 def check_invariant_set(model: MarkovModel, A: Iterable[StateId],
                         mu: StepLaw | None = None,
                         tol: float = 1e-10) -> InvarianceReport:
-    """Check both sides of the invariance equivalence for the set ``A``.
+    """Check both sides of the invariance equivalence for the set ``A``: one
+    row of ``check_invariant_sets``.
 
-    Operator side: sup_x |P 1_A(x) - 1_A(x)| over interior states.  Generator
-    side: reference measure of the symmetric difference g.A vs A, per
-    generator (for kernel-row models, the probability flow out of A weighted
-    by the reference measure).
+    Raises ValueError for a state outside the model and
+    InconclusiveAtTruncation for a set that touches the boundary and is not
+    the full set.
     """
-    A = frozenset(A)
+    mask = np.zeros((1, model.n_states), dtype=bool)
     for a in A:
-        if a not in model.index:
+        i = model.index.get(a)
+        if i is None:
             raise ValueError(f"state {a!r} not in model")
-    full = A == frozenset(model.states)
-    if A & model.boundary and not full:
+        mask[0, i] = True
+    if _inconclusive(mask, _on_edge(model))[0]:
         raise InconclusiveAtTruncation("set touches the truncation boundary")
-
-    op_res = _operator_indicator(model, A, mu)
-
-    gen_res: dict = {}
-    if model.action is not None and mu is not None:
-        # reference measure of (g.A symmetric-difference A), evaluated on the
-        # interior through preimages: s is in g.A iff g^-1 s is in A
-        for g in mu.support:
-            res = 0.0
-            for s in model.interior:
-                pre = model.apply(g.inverse_id, s)
-                if pre is None:
-                    raise InconclusiveAtTruncation(
-                        f"generator {g.id!r} preimage leaves the truncation")
-                if (pre in A) != (s in A):
-                    res += model.reference(s)
-            gen_res[g.id] = res
-    elif model.rows is not None:
-        flow = 0.0
-        for a in A:
-            for y, p in model.rows[a].items():
-                if y not in A:
-                    flow += model.reference(a) * p
-        gen_res["flow"] = flow
-
-    lam = sum(model.reference(a) for a in A)
-    interior = set(model.interior)
-    if model.reference.total_is_infinite and A >= interior:
-        lam = float("inf")
-
-    ok = op_res <= tol and all(r <= tol for r in gen_res.values())
-    return InvarianceReport(lam, op_res, gen_res,
-                            "invariant" if ok else "not-invariant")
-
-
-def harmonic_residual(model: MarkovModel, psi: Mapping[StateId, float] | Observable,
-                      mu: StepLaw | None = None) -> float:
-    """sup over interior states of |P psi(x) - psi(x)|; zero iff psi is harmonic there."""
-    get = psi.__call__ if isinstance(psi, Observable) else \
-        (lambda x: psi[x])
-    worst = 0.0
-    if model.rows is not None:
-        for x in model.interior:
-            val = sum(p * get(y) for y, p in model.rows[x].items())
-            worst = max(worst, abs(val - get(x)))
-        return worst
-    if mu is None:
-        raise ValueError("action model needs a step law")
-    for x in model.interior:
-        val = 0.0
-        for g, w in mu.atoms:
-            y = model.action(g.id, x)
-            if y not in model.index:
-                raise InconclusiveAtTruncation(
-                    f"psi undefined outside truncation at ({g.id!r}, {x!r})")
-            val += w * get(y)
-        worst = max(worst, abs(val - get(x)))
-    return worst
+    batch = check_invariant_sets(model, mask, mu, tol)
+    return InvarianceReport(
+        float(batch.set_measure[0]), float(batch.operator_residual[0]),
+        {g: float(r[0]) for g, r in batch.generator_residuals.items()},
+        "invariant" if batch.invariant[0] else "not-invariant")
 
 
 def verify_reversibility(model: MarkovModel, mu: StepLaw | None = None,

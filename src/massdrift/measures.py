@@ -126,10 +126,6 @@ class Observable:
     def indicator(cls, states: Iterable[StateId]) -> "Observable":
         return cls({x: 1.0 for x in states})
 
-    @property
-    def sup_norm(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
-
     def __call__(self, x: StateId) -> float:
         return self.values.get(x, 0.0)
 

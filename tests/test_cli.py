@@ -163,7 +163,7 @@ class TestRunConfig:
 
     def test_empty_rows_still_writes_header(self, tmp_path):
         cfg = evolve_config(tmp_path)
-        cfg["schedule"]["snapshots"] = [100]   # beyond n_steps: no snapshots
+        cfg["schedule"]["snapshots"] = []      # no snapshots, so no rows
         run_config(cfg)
         assert (tmp_path / "out.csv").read_bytes() == b"n,window,mass\r\n"
 
@@ -289,6 +289,15 @@ CONFIG_MISTAKES = {
         "ensemble_infinite": {"chart": "schottky", "n_walkers": 100,
                               "n_steps": 10, "snapshots": [5, 10]},
         "out": ensemble_config(t, FREE_LAW)["out"]},
+        "snapshot step 20 is outside the run's 0..10"),
+    # the exact walks stop at n_steps: the row for step 20 was silently
+    # missing and the run exited 0
+    "evolve-snapshot-past-horizon": lambda t: (evolve_config(
+        t, model={"type": "z-lattice", "d": 1, "radius": 40},
+        schedule={"n_steps": 10, "snapshots": [5, 20]}),
+        "snapshot step 20 is outside the run's 0..10"),
+    "funnel-snapshot-past-horizon": lambda t: ({
+        **funnel_config(t), "schedule": {"n_steps": 10, "snapshots": [5, 20]}},
         "snapshot step 20 is outside the run's 0..10"),
 }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,15 +9,82 @@ import scipy.sparse as sp
 from massdrift import kernel
 from massdrift.errors import (InconclusiveAtTruncation, SymmetryRequired,
                               TruncationOverflow)
-from massdrift.kernel import (MarkovModel, back_and_forth, cesaro,
-                              check_invariant_set, even_return_curve, evolve,
-                              harmonic_residual, verify_reversibility)
-from massdrift.measures import (GeneratorId, Observable, ReferenceWeights,
-                                StateVector, StepLaw)
+from massdrift.kernel import (InvarianceReport, MarkovModel, back_and_forth,
+                              cesaro, check_invariant_set,
+                              check_invariant_sets, even_return_curve, evolve,
+                              verify_reversibility)
+from massdrift.measures import (GeneratorId, ReferenceWeights, StateVector,
+                                StepLaw)
 from massdrift.models import (FunnelChainSpec, build_cycle_model,
                               build_funnel_chain, build_lattice_model,
                               build_two_component_model, cycle_law, srw_law)
+from massdrift.verify import SUBSET_CHUNK, subset_sweep
 from test_measures import convolve_step
+
+
+def harmonic_residual(model, psi, mu):
+    """sup over interior states of |P psi(x) - psi(x)| on an action model;
+    zero iff the dict ``psi`` is harmonic there."""
+    worst = 0.0
+    for x in model.interior:
+        val = 0.0
+        for g, w in mu.atoms:
+            y = model.action(g.id, x)
+            if y not in model.index:
+                raise InconclusiveAtTruncation(
+                    f"psi undefined outside truncation at ({g.id!r}, {x!r})")
+            val += w * psi[y]
+        worst = max(worst, abs(val - psi[x]))
+    return worst
+
+
+def invariant_set_oracle(model, A, mu=None, tol=1e-10):
+    """The per-state loop of the single-set invariance check: the oracle of
+    ``check_invariant_sets``."""
+    A = frozenset(A)
+    for a in A:
+        if a not in model.index:
+            raise ValueError(f"state {a!r} not in model")
+    full = A == frozenset(model.states)
+    if A & model.boundary and not full:
+        raise InconclusiveAtTruncation("set touches the truncation boundary")
+
+    mat = model.transition_matrix(None if model.rows is not None else mu)
+    ind = np.zeros(model.n_states + 1)
+    for a in A:
+        ind[model.index[a]] = 1.0
+    p_ind = mat @ ind
+    op_res = 0.0
+    for x in model.interior:
+        i = model.index[x]
+        op_res = max(op_res, abs(float(p_ind[i]) - ind[i]))
+
+    gen_res = {}
+    if model.action is not None and mu is not None:
+        for g in mu.support:
+            res = 0.0
+            for s in model.interior:
+                pre = model.apply(g.inverse_id, s)
+                if pre is None:
+                    raise InconclusiveAtTruncation(
+                        f"generator {g.id!r} preimage leaves the truncation")
+                if (pre in A) != (s in A):
+                    res += model.reference(s)
+            gen_res[g.id] = res
+    elif model.rows is not None:
+        flow = 0.0
+        for a in A:
+            for y, p in model.rows[a].items():
+                if y not in A:
+                    flow += model.reference(a) * p
+        gen_res["flow"] = flow
+
+    lam = sum(model.reference(a) for a in A)
+    if model.reference.total_is_infinite and A >= set(model.interior):
+        lam = float("inf")
+    ok = op_res <= tol and all(r <= tol for r in gen_res.values())
+    return InvarianceReport(lam, op_res, gen_res,
+                            "invariant" if ok else "not-invariant")
 
 
 @pytest.fixture
@@ -504,3 +572,141 @@ class TestArrayKernel:
             back_and_forth(m, 3, mu, 4)
         assert len(transposes) == 2          # the law and its inverse
         assert kernel._matrices(m, mu)[1] is kernel._matrices(m, mu)[1]
+
+
+def subset_masks(n_states, numbers):
+    """Bool masks of the subsets ``numbers``: bit i picks state i."""
+    return (np.asarray(numbers)[:, None] >> np.arange(n_states) & 1) \
+        .astype(bool)
+
+
+def two_class_rows_model():
+    """Kernel rows with two closed classes and non-unit reference weights."""
+    rows = {0: {0: 0.3, 1: 0.7}, 1: {0: 0.2, 1: 0.1, 2: 0.7},
+            2: {1: 0.45, 2: 0.55}, 3: {4: 1.0}, 4: {3: 0.35, 5: 0.65},
+            5: {4: 0.9, 5: 0.1}}
+    weights = {i: 0.1 + 0.07 * i for i in rows}
+    return MarkovModel(states=list(rows),
+                       reference=ReferenceWeights(weight=weights), rows=rows)
+
+
+class TestInvariantSetBatch:
+    """``check_invariant_sets`` against the per-state oracle, set by set."""
+
+    @staticmethod
+    def assert_matches_oracle(model, masks, mu=None, tol=1e-10):
+        batch = check_invariant_sets(model, masks, mu, tol)
+        raised = []
+        for row, mask in enumerate(masks):
+            A = [x for x, inside in zip(model.states, mask) if inside]
+            try:
+                rep = invariant_set_oracle(model, A, mu, tol)
+            except InconclusiveAtTruncation:
+                raised.append(row)
+                continue
+            assert batch.invariant[row] == (rep.verdict == "invariant")
+            assert abs(batch.operator_residual[row]
+                       - rep.operator_residual) <= 1e-15
+            assert batch.generator_residuals.keys() == \
+                rep.generator_residuals.keys()
+            for g, res in rep.generator_residuals.items():
+                assert abs(batch.generator_residuals[g][row] - res) <= 1e-15
+            if math.isinf(rep.set_measure):
+                assert batch.set_measure[row] == rep.set_measure
+            else:
+                assert abs(batch.set_measure[row] - rep.set_measure) <= 1e-15
+        assert np.flatnonzero(batch.inconclusive).tolist() == raised
+        assert not batch.invariant[raised].any()
+        return batch
+
+    @pytest.mark.parametrize("law", [{"+1": 0.5, "-1": 0.5}, ASYMMETRIC,
+                                     {"+1": 0.3, "-1": 0.3, "0": 0.4}])
+    def test_cycles_every_subset(self, law):
+        for model in (build_cycle_model(8), build_two_component_model(4)):
+            batch = self.assert_matches_oracle(
+                model, subset_masks(8, range(256)), cycle_law(law))
+            assert batch.invariant.sum() == (2 if model.name == "cycle-8"
+                                             else 4)
+
+    def test_two_cycle_of_two_states(self):
+        # a 2-cycle: +1 and -1 are the same bijection
+        self.assert_matches_oracle(build_cycle_model(2),
+                                   subset_masks(2, range(4)),
+                                   cycle_law({"+1": 0.5, "-1": 0.5}))
+
+    @pytest.mark.parametrize("tail", [("constant", 1.0),
+                                      ("geometric", 0.5, 0.5),
+                                      ("constant", 1e-12)])
+    def test_funnels_at_zero_tolerance(self, tail):
+        model = build_funnel_chain(FunnelChainSpec((), tail=tail,
+                                                   truncation_size=8))
+        batch = self.assert_matches_oracle(model, subset_masks(9, range(512)),
+                                           tol=0.0)
+        assert batch.invariant.tolist() == [True] + [False] * 510 + [True]
+
+    @pytest.mark.parametrize("d, radius", [(1, 6), (2, 2)])
+    def test_boxes_inconclusive_where_oracle_raises(self, d, radius):
+        model = build_lattice_model(d, radius)
+        n = model.n_states
+        rng = np.random.default_rng(7)
+        inner = np.array([x not in model.boundary for x in model.states])
+        masks = np.concatenate([
+            rng.random((150, n)) < 0.5,
+            (rng.random((150, n)) < 0.5) & inner,        # avoid the edge
+            [np.ones(n, bool), inner, np.zeros(n, bool)]])
+        batch = self.assert_matches_oracle(model, masks, srw_law(d))
+        assert batch.inconclusive[:150].sum() > 100
+        assert not batch.inconclusive[150:].any()
+        assert batch.set_measure[-3:].tolist() == [math.inf, math.inf, 0.0]
+
+    def test_corner_with_zero_residuals_stays_inconclusive(self):
+        # no interior state of the plane box neighbours a corner, so both
+        # sides read 0, but the set touches the boundary
+        model = build_lattice_model(2, 2)
+        corner = np.array([[x == (2, 2) for x in model.states]])
+        batch = self.assert_matches_oracle(model, corner, srw_law(2))
+        assert batch.operator_residual[0] == 0.0
+        assert all(r[0] == 0.0 for r in batch.generator_residuals.values())
+        assert batch.inconclusive[0] and not batch.invariant[0]
+
+    def test_rows_model_with_reference_weights(self):
+        model = two_class_rows_model()
+        batch = self.assert_matches_oracle(model, subset_masks(6, range(64)))
+        assert np.flatnonzero(batch.invariant).tolist() == [0, 7, 56, 63]
+        assert batch.set_measure[7] == pytest.approx(0.1 + 0.17 + 0.24)
+
+    def test_preimage_leaving_raises_like_oracle(self):
+        line = MarkovModel(states=list(range(5)),
+                           reference=ReferenceWeights(default=1.0),
+                           action=lambda g, x: x + int(g))
+        mu = StepLaw(((GeneratorId("1", "-1"), 0.5),
+                      (GeneratorId("-1", "1"), 0.5)))
+        for check in (lambda: invariant_set_oracle(line, [2], mu),
+                      lambda: check_invariant_set(line, [2], mu),
+                      lambda: check_invariant_sets(line, np.ones((3, 5), bool),
+                                                   mu)):
+            with pytest.raises(InconclusiveAtTruncation,
+                               match="generator '1' preimage leaves"):
+                check()
+
+    def test_foreign_state_and_mask_shape_rejected(self, z_model, mu_srw):
+        with pytest.raises(ValueError, match="not in model"):
+            check_invariant_set(z_model, [0, 99], mu_srw)
+        with pytest.raises(ValueError, match="masks must have shape"):
+            check_invariant_sets(z_model, np.ones((2, 5), bool), mu_srw)
+
+    def test_chunked_sweep_memory(self):
+        model = build_funnel_chain(FunnelChainSpec((), tail=("constant", 1.0),
+                                                   truncation_size=12))
+        model.transition_matrix()       # assemble outside the measurement
+        stop = 2 ** model.n_states - 1
+        tracemalloc.start()
+        try:
+            batches = list(b.invariant.sum() for b in
+                           subset_sweep(model, 1, stop, tol=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == -(-(stop - 1) // SUBSET_CHUNK)
+        assert sum(batches) == 0
+        assert peak < 2 ** 20
