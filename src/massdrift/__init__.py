@@ -7,12 +7,12 @@ Schottky charts), and reproducible Monte Carlo ensembles.
 """
 from . import fibers, kernel, measures, models, montecarlo
 from .measures import (GeneratorId, Observable, ReferenceWeights, StateVector,
-                       StepLaw, invert_law, is_symmetric, pair, window_mass)
+                       StepLaw, invert_law, is_symmetric, pair)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "fibers", "kernel", "measures", "models", "montecarlo",
     "GeneratorId", "Observable", "ReferenceWeights", "StateVector", "StepLaw",
-    "invert_law", "is_symmetric", "pair", "window_mass",
+    "invert_law", "is_symmetric", "pair",
 ]

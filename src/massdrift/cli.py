@@ -212,7 +212,7 @@ def build(config: dict) -> Setup:
                                   for a in config["law"]["atoms"]))
         if "model" in config:
             s.model = _model_from_config(config["model"])
-            if s.model.action is not None and s.law is None:
+            if s.model.neighbours is not None and s.law is None:
                 raise ValueError(f"a {config['model']['type']} model needs a law")
             s.start = _state(config.get("start", s.model.states[0]))
             s.states = [_state(x) for x in config.get("set", ())]

@@ -142,9 +142,12 @@ class FiniteFiberModel:
     @cached_property
     def markov_model(self) -> MarkovModel:
         """The walk as a kernel model, built once; its transition matrices
-        are cached per law."""
+        are cached per law.  A generator's neighbours are its row of
+        ``action_table``."""
+        pos = {g: i for i, g in enumerate(self.group.elements)}
         return MarkovModel(states=list(self.space), reference=self.lam,
-                           action=self.action, name="finite-fiber")
+                           neighbours=lambda g: self.action_table[pos[g]],
+                           name="finite-fiber")
 
     def values(self, f: Observable | ReferenceWeights) -> np.ndarray:
         """f at every point of ``space``."""

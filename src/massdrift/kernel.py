@@ -2,8 +2,9 @@
 
 Exact evolution of n-step distributions, Cesaro averages, back-and-forth
 sequences, invariant-set checking and reversibility verification.  Models
-are either action-driven (a family of per-generator bijections plus a step
-law) or explicit sparse kernel rows.
+are either action-driven (per-generator neighbour index arrays plus a step
+law) or explicit sparse kernel rows.  Action models move mass that leaves the
+truncation to an absorbing sink; kernel rows never send mass there.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ import scipy.sparse as sp
 
 from .errors import (InconclusiveAtTruncation, SymmetryRequired,
                      TruncationOverflow)
-from .measures import (ActionOracle, ReferenceWeights, StateId, StateVector,
-                       StepLaw, invert_law, is_symmetric)
+from .measures import (ReferenceWeights, StateId, StateVector, StepLaw,
+                       invert_law, is_symmetric)
 
 SNAPSHOT_PRUNE = 1e-15
 OVERFLOW_MASS = 1e-6
@@ -32,20 +33,20 @@ DENSE_MAX_STATES = 1024
 class MarkovModel:
     """A truncated countable state space with its walk structure.
 
-    Exactly one of ``action`` / ``rows`` is set.  ``boundary`` lists the states
-    at the truncation edge; any mass pushed outside the stored states is moved
-    to an absorbing sink and reported.  An action model may also give
-    ``neighbours``, the action on every state at once: for a generator id, the
+    Exactly one of ``neighbours`` / ``rows`` is set.  ``neighbours`` is the
+    action of one generator on every state at once: for a generator id, the
     index of each state's image, ``n_states`` (the sink) where the image
-    leaves the truncation.  The kernel then assembles its matrix from these
-    index arrays; everything else still calls ``action``.
+    leaves the truncation.  Mass sent there stays in an absorbing sink and is
+    reported.  ``rows`` are explicit kernel rows; each sums to 1 over the
+    stored states, so a rows model never sends mass to the sink (a funnel's
+    last block reflects).  ``boundary`` is a bool array over ``states``, True
+    at the truncation edge; all False unless given.
     """
     states: Sequence[StateId]
     reference: ReferenceWeights
-    action: ActionOracle | None = None
     neighbours: Callable[[Hashable], np.ndarray] | None = None
     rows: Mapping[StateId, Mapping[StateId, float]] | None = None
-    boundary: frozenset = frozenset()
+    boundary: np.ndarray | None = None
     reversible_claim: bool = False
     name: str = ""
     index: dict = field(init=False, repr=False)
@@ -54,9 +55,11 @@ class MarkovModel:
     _step_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if (self.action is None) == (self.rows is None):
-            raise ValueError("exactly one of action/rows must be given")
+        if (self.neighbours is None) == (self.rows is None):
+            raise ValueError("exactly one of neighbours/rows must be given")
         self.index = {x: i for i, x in enumerate(self.states)}
+        self.boundary = np.zeros(self.n_states, dtype=bool) \
+            if self.boundary is None else np.asarray(self.boundary, dtype=bool)
         if self.rows is not None:
             for x, row in self.rows.items():
                 s = sum(row.values())
@@ -71,25 +74,6 @@ class MarkovModel:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def interior(self) -> list:
-        return [x for x in self.states if x not in self.boundary]
-
-    def apply(self, gen_id: Hashable, x: StateId) -> StateId | None:
-        """Image of a state under one generator; None if it leaves the truncation."""
-        y = self.action(gen_id, x)
-        return y if y in self.index else None
-
-    def _images(self, gen_id: Hashable) -> np.ndarray:
-        """Index of every state's image under one generator, ``n_states``
-        (the sink) where it leaves the truncation: ``neighbours`` when the
-        model gives it, otherwise one ``action`` call per state."""
-        if self.neighbours is not None:
-            return self.neighbours(gen_id)
-        n = self.n_states
-        return np.array([self.index.get(self.action(gen_id, x), n)
-                         for x in self.states], dtype=np.intp)
 
     def transition_matrix(self, mu: StepLaw | None = None) -> sp.csr_matrix:
         """Sparse (n+1)x(n+1) stochastic matrix; last index is the absorbing sink."""
@@ -109,7 +93,7 @@ class MarkovModel:
             if mu is None:
                 raise ValueError("action model needs a step law")
             # row i holds one entry per atom, in law order
-            images = np.stack([self._images(g.id) for g, _ in mu.atoms], axis=1)
+            images = np.stack([self.neighbours(g.id) for g, _ in mu.atoms], 1)
             ci = np.ravel(images)
             ri = np.repeat(np.arange(n), len(mu.atoms))
             data = np.tile([w for _, w in mu.atoms], n)
@@ -235,6 +219,12 @@ class ReversibilityReport:
     passes: bool
 
 
+def _weights(model: MarkovModel) -> np.ndarray:
+    """The reference weight of every state, in ``model.states`` order."""
+    return np.fromiter((model.reference(x) for x in model.states),
+                       dtype=float, count=model.n_states)
+
+
 def _transition(model: MarkovModel, mu: StepLaw | None) -> sp.csr_matrix:
     """P; kernel-row models ignore the law."""
     return model.transition_matrix(None if model.rows is not None else mu)
@@ -357,30 +347,37 @@ def evolve(model: MarkovModel, x: StateId, mu: StepLaw | None, n_max: int,
 def cesaro(series: EvolutionSeries, n: int) -> StateVector:
     """Average of the first ``n`` snapshots, (1/n) * sum_{k<n} snapshot_k.
 
-    With every snapshot below ``n`` stored, the pruned snapshots are added in
-    step order and the average is not pruned again.  Otherwise the evolution
-    is recomputed, raising TruncationOverflow at the step ``evolve`` would.
+    The pruned snapshots are added in step order, and so are their pruned
+    masses; the average is not pruned again.  When a snapshot below ``n`` is
+    not stored, the evolution is recomputed by sparse steps, raising
+    TruncationOverflow at the step ``evolve`` would.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     model = series.model
+    total, pruned = np.zeros(model.n_states), 0.0
+    for idx, mass in _snapshot_arrays(series, n):
+        total[idx] += np.where(mass < SNAPSHOT_PRUNE, 0.0, mass)
+        pruned += _pruned_mass(mass)
+    idx = np.flatnonzero(total)
+    states = model.states
+    return StateVector(
+        {states[i]: m for i, m in zip(idx.tolist(), (total[idx] / n).tolist())},
+        pruned / n)
+
+
+def _snapshot_arrays(series: EvolutionSeries, n: int):
+    """Unpruned nonzero entries of snapshots 0..n-1: the stored ones when
+    every one of them is stored, otherwise recomputed."""
     if all(k in series.snapshots for k in range(n)):
-        total = np.zeros(model.n_states)
-        for k in range(n):
-            idx, mass = series.snapshots.kept(k)
-            total[idx] += mass
-        idx = np.flatnonzero(total)
-        states = model.states
-        return StateVector(
-            {states[i]: m for i, m in zip(idx.tolist(), (total[idx] / n).tolist())},
-            sum(series.pruned_mass_log[k] for k in range(n)) / n)
-    step = _matrices(model, series.law)[1]
-    v = model.to_vector(StateVector.dirac(series.start))
-    total = v.copy()
-    for k in range(1, n):
-        v = _steps(step, v, k - 1, 1, True)
-        total += v
-    return model.to_state_vector(total / n)
+        yield from (series.snapshots.arrays[k] for k in range(n))
+        return
+    step = _matrices(series.model, series.law)[1]
+    v = series.model.to_vector(StateVector.dirac(series.start))
+    for k in range(n):
+        if k:
+            v = _steps(step, v, k - 1, 1, True)
+        yield _nonzero(v)
 
 
 def back_and_forth(model: MarkovModel, x: StateId, mu: StepLaw,
@@ -392,7 +389,7 @@ def back_and_forth(model: MarkovModel, x: StateId, mu: StepLaw,
     forward power F^n up to date, one matrix product per entry, instead of
     taking n fresh sparse steps.
     """
-    if model.action is None:
+    if model.neighbours is None:
         raise ValueError("back_and_forth needs an action model")
     fwd_mat, fwd = _matrices(model, mu)
     bwd = _matrices(model, invert_law(mu))[1]
@@ -421,12 +418,6 @@ def back_and_forth(model: MarkovModel, x: StateId, mu: StepLaw,
                 f"absorbed mass {v[-1]:.3g} in back-and-forth entry {n}")
         out.append(model.to_state_vector(v))
     return out
-
-
-def _on_edge(model: MarkovModel) -> np.ndarray:
-    """Bool array over ``model.states``: True on the truncation boundary."""
-    return np.fromiter((x in model.boundary for x in model.states),
-                       dtype=bool, count=model.n_states)
 
 
 def _inconclusive(masks: np.ndarray, on_edge: np.ndarray) -> np.ndarray:
@@ -463,10 +454,8 @@ def check_invariant_sets(model: MarkovModel, masks: np.ndarray,
     if masks.ndim != 2 or masks.shape[1] != n:
         raise ValueError(f"masks must have shape (sets, {n}), not {masks.shape}")
     mat = _transition(model, mu)
-    on_edge = _on_edge(model)
-    interior = np.flatnonzero(~on_edge)
-    ref = np.fromiter((model.reference(x) for x in model.states),
-                      dtype=float, count=n)
+    interior = np.flatnonzero(~model.boundary)
+    ref = _weights(model)
 
     ind = np.zeros((n + 1, len(masks)))       # the sink row stays 0
     ind[:n] = masks.T
@@ -474,10 +463,10 @@ def check_invariant_sets(model: MarkovModel, masks: np.ndarray,
     op_res = np.abs(gap).max(axis=0, initial=0.0)
 
     gen_res: dict = {}
-    if model.action is not None and mu is not None:
+    if model.neighbours is not None and mu is not None:
         inside = masks[:, interior]
         for g in mu.support:
-            pre = model._images(g.inverse_id)[interior]
+            pre = model.neighbours(g.inverse_id)[interior]
             if (pre == n).any():
                 raise InconclusiveAtTruncation(
                     f"generator {g.id!r} preimage leaves the truncation")
@@ -491,7 +480,7 @@ def check_invariant_sets(model: MarkovModel, masks: np.ndarray,
     lam = _row_sums(np.where(masks, ref, 0.0))
     if model.reference.total_is_infinite:
         lam[masks[:, interior].all(axis=1)] = np.inf
-    inconclusive = _inconclusive(masks, on_edge)
+    inconclusive = _inconclusive(masks, model.boundary)
     ok = op_res <= tol
     for res in gen_res.values():
         ok &= res <= tol
@@ -515,7 +504,7 @@ def check_invariant_set(model: MarkovModel, A: Iterable[StateId],
         if i is None:
             raise ValueError(f"state {a!r} not in model")
         mask[0, i] = True
-    if _inconclusive(mask, _on_edge(model))[0]:
+    if _inconclusive(mask, model.boundary)[0]:
         raise InconclusiveAtTruncation("set touches the truncation boundary")
     batch = check_invariant_sets(model, mask, mu, tol)
     return InvarianceReport(
@@ -526,22 +515,11 @@ def check_invariant_set(model: MarkovModel, A: Iterable[StateId],
 
 def verify_reversibility(model: MarkovModel, mu: StepLaw | None = None,
                          tol: float = DETAILED_BALANCE_TOL) -> ReversibilityReport:
-    """Max detailed-balance residual |lam(x)p(x,y) - lam(y)p(y,x)| over stored pairs."""
-    if model.rows is not None:
-        p = {(x, y): v for x, row in model.rows.items() for y, v in row.items()}
-    else:
-        if mu is None:
-            raise ValueError("action model needs a step law")
-        p = {}
-        for x in model.states:
-            for g, w in mu.atoms:
-                y = model.apply(g.id, x)
-                if y is not None:
-                    p[(x, y)] = p.get((x, y), 0.0) + w
-    lam = model.reference
-    worst = 0.0
-    for (x, y), v in p.items():
-        worst = max(worst, abs(lam(x) * v - lam(y) * p.get((y, x), 0.0)))
+    """Max detailed-balance residual |lam(x)p(x,y) - lam(y)p(y,x)| over the
+    stored states: the largest entry of |F - F^T| for the flow F = diag(lam) P."""
+    n = model.n_states
+    flow = _transition(model, mu)[:n, :n].multiply(_weights(model)[:, None])
+    worst = float(abs(flow - flow.T).max())
     return ReversibilityReport(worst, worst <= tol)
 
 
@@ -570,6 +548,9 @@ def even_return_curve(model: MarkovModel, x: StateId, mu: StepLaw | None,
 
     Nonincreasing whenever the walk is reversible (spectral consequence of
     self-adjointness); requires a symmetric law / verified detailed balance.
+    Raises TruncationOverflow at the step ``evolve`` would.  The block path
+    checks the sink once per block and redoes a block that trips it by sparse
+    steps; the steps past the last whole block are checked by sparse steps.
     """
     if model.rows is not None:
         if not verify_reversibility(model).passes:
@@ -579,12 +560,14 @@ def even_return_curve(model: MarkovModel, x: StateId, mu: StepLaw | None,
             raise SymmetryRequired("even_return_curve needs a symmetric law")
     mat, step = _matrices(model, mu)
     i0 = model.index[x]
+    # no state sends mass to the sink when its column holds only its own loop
+    check = np.count_nonzero(mat.indices == model.n_states) > 1
     k = _curve_block(mat, n_max)
     if k == 0:
         v = model.to_vector(StateVector.dirac(x))
         curve = [1.0]
-        for _ in range(n_max):
-            v = step @ (step @ v)
+        for n in range(n_max):
+            v = _steps(step, v, 2 * n, 2, check)
             curve.append(float(v[i0]))
         return curve
     # blocks of K = 2**k entries: curve[m + j] = v_m @ C[:, j] with
@@ -600,6 +583,11 @@ def even_return_curve(model: MarkovModel, x: StateId, mu: StepLaw | None,
     for m in range(0, n_max + 1, block):
         curve.extend((v @ cols[:, :n_max + 1 - m]).tolist())
         if m + block <= n_max:
-            v = v @ jump
+            w = v @ jump
+            if check and w[-1] >= OVERFLOW_MASS - DENSE_TOL:
+                w = _steps(step, v, 2 * m, 2 * block, check)
+            v = w
+        elif check:
+            _steps(step, v, 2 * m, 2 * (n_max - m), check)
     return curve
 

@@ -8,11 +8,9 @@ through a group action supplied by the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 StateId = Hashable
-#: action oracle: (generator id, state) -> state
-ActionOracle = Callable[[Hashable, StateId], StateId]
 
 MASS_TOL = 1e-12
 
@@ -105,12 +103,6 @@ class StateVector:
     def mass_at(self, x: StateId) -> float:
         return self.entries.get(x, 0.0)
 
-    def add(self, other: "StateVector") -> "StateVector":
-        out = dict(self.entries)
-        for x, m in other.entries.items():
-            out[x] = out.get(x, 0.0) + m
-        return StateVector(out, self.pruned_mass + other.pruned_mass)
-
     def sup_distance(self, other: "StateVector") -> float:
         keys = set(self.entries) | set(other.entries)
         return max((abs(self.mass_at(x) - other.mass_at(x)) for x in keys),
@@ -156,8 +148,3 @@ def pair(nu: StateVector, f: Observable) -> float:
     if len(f.values) < len(nu.entries):
         return sum(v * nu.mass_at(x) for x, v in f.values.items())
     return sum(m * f(x) for x, m in nu.entries.items())
-
-
-def window_mass(nu: StateVector, window: Iterable[StateId]) -> float:
-    """Mass of ``nu`` inside a finite window of states."""
-    return sum(nu.mass_at(x) for x in window)

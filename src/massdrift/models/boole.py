@@ -19,10 +19,6 @@ SINGULAR_EPS = 1e-12
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
-def boole_map(x: float) -> float:
-    return x - 1.0 / x
-
-
 def preimage_jacobian_sum(x: float) -> float:
     """Sum of 1/|T'| over the two preimages of x; equals 1 iff length is preserved."""
     disc = math.sqrt(x * x + 4.0)

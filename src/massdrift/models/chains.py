@@ -30,66 +30,51 @@ def build_lattice_model(d: int, radius: int) -> MarkovModel:
     """Z^d truncated to the centered box of the given radius, counting measure.
 
     Generators are the 2d unit steps; boundary states are those on the box
-    edge, absorbed-and-flagged by default when mass steps outside.
+    edge, absorbed-and-flagged by default when mass steps outside.  States
+    are the box in row-major order, so a state's index is its shifted
+    coordinates read in base 2*radius+1.
     """
     if d not in (1, 2):
         raise ValueError("d must be 1 or 2")
     if radius < 2:
         raise ValueError("radius must be >= 2")
     width = 2 * radius + 1
+    shape = (width,) * d
     rng = range(-radius, radius + 1)
 
-    def unit_step(gid):
-        return (0 if d == 1 else int(gid[2]) - 1), (1 if gid[0] == "+" else -1)
-
     def neighbours(gid):
-        # states are the box in row-major order, so a state's index is its
-        # shifted coordinates read in base 2*radius+1
-        axis, step = unit_step(gid)
-        coords = np.indices((width,) * d).reshape(d, -1)
-        coords[axis] += step
+        axis = 0 if d == 1 else int(gid[2]) - 1
+        coords = np.indices(shape).reshape(d, -1)
+        coords[axis] += 1 if gid[0] == "+" else -1
         out = (coords[axis] < 0) | (coords[axis] >= width)
-        images = np.ravel_multi_index(coords, (width,) * d, mode="clip")
+        images = np.ravel_multi_index(coords, shape, mode="clip")
         images[out] = width ** d
         return images
 
-    if d == 1:
-        states: list = list(rng)
-
-        def action(gid, x):
-            return x + unit_step(gid)[1]
-
-        boundary = frozenset({-radius, radius})
-    else:
-        states = [tuple(p) for p in itertools.product(rng, repeat=2)]
-
-        def action(gid, x):
-            axis, step = unit_step(gid)
-            p = list(x)
-            p[axis] += step
-            return tuple(p)
-
-        boundary = frozenset(s for s in states
-                             if max(abs(c) for c in s) == radius)
+    grid = np.indices(shape).reshape(d, -1)
+    states = list(rng) if d == 1 else list(itertools.product(rng, repeat=2))
     return MarkovModel(
         states=states,
         reference=ReferenceWeights(default=1.0, total_is_infinite=True),
-        action=action,
         neighbours=neighbours,
-        boundary=boundary,
+        boundary=((grid == 0) | (grid == width - 1)).any(axis=0),
         reversible_claim=True,
         name=f"z{d}-lattice-r{radius}",
     )
 
 
+#: cycle generator id -> its translation
+_CYCLE_STEPS = {"+1": 1, "-1": -1, "0": 0}
+
+
 def build_cycle_model(k: int) -> MarkovModel:
     """Z/k with the +-1 translation generators and uniform reference weight."""
-    def action(gid, x):
-        return (x + {"+1": 1, "-1": -1, "0": 0}[gid]) % k
+    def neighbours(gid):
+        return (np.arange(k) + _CYCLE_STEPS[gid]) % k
 
     return MarkovModel(states=list(range(k)),
                        reference=ReferenceWeights(default=1.0),
-                       action=action, name=f"cycle-{k}")
+                       neighbours=neighbours, name=f"cycle-{k}")
 
 
 def cycle_law(weights_by_step: dict) -> StepLaw:
@@ -103,12 +88,12 @@ def build_two_component_model(k: int) -> MarkovModel:
     """Disjoint union of two Z/k cycles; the components are the invariant sets."""
     states = [("A", i) for i in range(k)] + [("B", i) for i in range(k)]
 
-    def action(gid, x):
-        step = {"+1": 1, "-1": -1, "0": 0}[gid]
-        return (x[0], (x[1] + step) % k)
+    def neighbours(gid):
+        component, i = np.divmod(np.arange(2 * k), k)
+        return component * k + (i + _CYCLE_STEPS[gid]) % k
 
     return MarkovModel(states=states, reference=ReferenceWeights(default=1.0),
-                       action=action, name=f"two-cycles-{k}")
+                       neighbours=neighbours, name=f"two-cycles-{k}")
 
 
 @dataclass(frozen=True)

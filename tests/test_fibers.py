@@ -350,6 +350,22 @@ OBSERVABLES = {
 }
 
 
+@pytest.mark.parametrize("m", [m for _, m in FAMILY],
+                         ids=[name for name, _ in FAMILY])
+def test_markov_model_matrix_from_action(m):
+    """The kernel's matrix, read off ``action_table``, equals the one built
+    from the action callable, P[x, g.x] += mu(g), for the law and its
+    inverse."""
+    for law in (m.mu, invert_law(m.mu)):
+        expect = np.zeros((len(m.space) + 1,) * 2)
+        expect[-1, -1] = 1.0
+        for g, w in law.atoms:
+            for i, x in enumerate(m.space):
+                expect[i, m.space.index(m.action(g.id, x))] += w
+        got = m.markov_model.transition_matrix(law).toarray()
+        assert got.tolist() == expect.tolist()
+
+
 @pytest.mark.parametrize("f_name", sorted(OBSERVABLES))
 @pytest.mark.parametrize("m", [m for _, m in FAMILY],
                          ids=[name for name, _ in FAMILY])

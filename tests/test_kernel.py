@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -22,14 +21,58 @@ from massdrift.verify import SUBSET_CHUNK, subset_sweep
 from test_measures import convolve_step
 
 
-def harmonic_residual(model, psi, mu):
+# -- per-state oracles --------------------------------------------------------
+# The library hands the kernel index arrays only; these callables, one per
+# model kind, give the image of one state under one generator id.
+
+CYCLE_STEPS = {"+1": 1, "-1": -1, "0": 0}
+
+
+def box_action(d):
+    """The unit steps of Z^d on the states of ``build_lattice_model``."""
+    if d == 1:
+        return lambda gid, x: x + (1 if gid[0] == "+" else -1)
+
+    def act(gid, x):
+        p = list(x)
+        p[int(gid[2]) - 1] += 1 if gid[0] == "+" else -1
+        return tuple(p)
+    return act
+
+
+def cycle_action(k):
+    return lambda gid, x: (x + CYCLE_STEPS[gid]) % k
+
+
+def two_cycle_action(k):
+    return lambda gid, x: (x[0], (x[1] + CYCLE_STEPS[gid]) % k)
+
+
+def line_action(gid, x):
+    """Integer translations, on a line of states that ends."""
+    return x + int(gid)
+
+
+def neighbours_from(states, act):
+    """Neighbour index arrays of a per-state action, one call per state;
+    ``len(states)`` (the sink) where the image is not a state."""
+    index = {x: i for i, x in enumerate(states)}
+    return lambda gid: np.array([index.get(act(gid, x), len(states))
+                                 for x in states], dtype=np.intp)
+
+
+def interior(model):
+    return [x for x, edge in zip(model.states, model.boundary) if not edge]
+
+
+def harmonic_residual(model, act, psi, mu):
     """sup over interior states of |P psi(x) - psi(x)| on an action model;
     zero iff the dict ``psi`` is harmonic there."""
     worst = 0.0
-    for x in model.interior:
+    for x in interior(model):
         val = 0.0
         for g, w in mu.atoms:
-            y = model.action(g.id, x)
+            y = act(g.id, x)
             if y not in model.index:
                 raise InconclusiveAtTruncation(
                     f"psi undefined outside truncation at ({g.id!r}, {x!r})")
@@ -38,15 +81,37 @@ def harmonic_residual(model, psi, mu):
     return worst
 
 
-def invariant_set_oracle(model, A, mu=None, tol=1e-10):
+def reversibility_oracle(model, mu=None, act=None):
+    """Max detailed-balance residual |lam(x)p(x,y) - lam(y)p(y,x)| from a
+    per-pair dict loop: the oracle of ``verify_reversibility``."""
+    if model.rows is not None:
+        p = {(x, y): v for x, row in model.rows.items()
+             for y, v in row.items()}
+    else:
+        p = {}
+        for x in model.states:
+            for g, w in mu.atoms:
+                y = act(g.id, x)
+                if y in model.index:
+                    p[(x, y)] = p.get((x, y), 0.0) + w
+    lam = model.reference
+    worst = 0.0
+    for (x, y), v in p.items():
+        worst = max(worst, abs(lam(x) * v - lam(y) * p.get((y, x), 0.0)))
+    return worst
+
+
+def invariant_set_oracle(model, A, mu=None, tol=1e-10, act=None):
     """The per-state loop of the single-set invariance check: the oracle of
-    ``check_invariant_sets``."""
+    ``check_invariant_sets``.  ``act`` is the per-state action of an action
+    model."""
     A = frozenset(A)
     for a in A:
         if a not in model.index:
             raise ValueError(f"state {a!r} not in model")
     full = A == frozenset(model.states)
-    if A & model.boundary and not full:
+    inner = interior(model)
+    if A - set(inner) and not full:
         raise InconclusiveAtTruncation("set touches the truncation boundary")
 
     mat = model.transition_matrix(None if model.rows is not None else mu)
@@ -55,17 +120,17 @@ def invariant_set_oracle(model, A, mu=None, tol=1e-10):
         ind[model.index[a]] = 1.0
     p_ind = mat @ ind
     op_res = 0.0
-    for x in model.interior:
+    for x in inner:
         i = model.index[x]
         op_res = max(op_res, abs(float(p_ind[i]) - ind[i]))
 
     gen_res = {}
-    if model.action is not None and mu is not None:
+    if act is not None and mu is not None:
         for g in mu.support:
             res = 0.0
-            for s in model.interior:
-                pre = model.apply(g.inverse_id, s)
-                if pre is None:
+            for s in inner:
+                pre = act(g.inverse_id, s)
+                if pre not in model.index:
                     raise InconclusiveAtTruncation(
                         f"generator {g.id!r} preimage leaves the truncation")
                 if (pre in A) != (s in A):
@@ -80,7 +145,7 @@ def invariant_set_oracle(model, A, mu=None, tol=1e-10):
         gen_res["flow"] = flow
 
     lam = sum(model.reference(a) for a in A)
-    if model.reference.total_is_infinite and A >= set(model.interior):
+    if model.reference.total_is_infinite and A >= set(inner):
         lam = float("inf")
     ok = op_res <= tol and all(r <= tol for r in gen_res.values())
     return InvarianceReport(lam, op_res, gen_res,
@@ -117,9 +182,8 @@ class TestEvolve:
     def test_matches_sparse_convolution(self, z_model, mu_srw):
         s = evolve(z_model, 0, mu_srw, 6)
         nu = StateVector.dirac(0)
-        act = lambda gid, x: x + (1 if gid[0] == "+" else -1)
         for n in range(1, 7):
-            nu = convolve_step(nu, mu_srw, act, prune_eps=0.0)
+            nu = convolve_step(nu, mu_srw, box_action(1), prune_eps=0.0)
             assert s.snapshot(n).sup_distance(nu) < 1e-14
 
     def test_determinism(self, z_model, mu_srw):
@@ -170,6 +234,18 @@ class TestCesaro:
         avg = cesaro(s, 6)
         expect = sum(s.snapshot(k).total_mass for k in range(6)) / 6
         assert avg.total_mass == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 10, 56])
+    def test_recompute_equals_stored_snapshots(self, n):
+        # the tails fall below SNAPSHOT_PRUNE: both paths prune each step's
+        # snapshot and never the mean
+        box = build_lattice_model(1, 60)
+        law = lattice_law((0.7, 0.3))
+        stored = cesaro(evolve(box, 5, law, n), n)
+        recomputed = cesaro(evolve(box, 5, law, n, snapshot_schedule=[n]), n)
+        assert list(recomputed.entries.items()) == \
+            list(stored.entries.items())
+        assert recomputed.pruned_mass == stored.pruned_mass
 
     def test_recompute_overflows_like_evolve(self, mu_srw):
         m = build_lattice_model(1, 3)
@@ -266,15 +342,16 @@ class TestInvariantSet:
 class TestHarmonicResidual:
     def test_constant_is_harmonic(self, z_model, mu_srw):
         psi = {x: 3.7 for x in z_model.states}
-        assert harmonic_residual(z_model, psi, mu_srw) == 0.0
+        assert harmonic_residual(z_model, box_action(1), psi, mu_srw) == 0.0
 
     def test_linear_is_harmonic_for_srw(self, z_model, mu_srw):
         psi = {x: float(x) for x in z_model.states}
-        assert harmonic_residual(z_model, psi, mu_srw) == 0.0
+        assert harmonic_residual(z_model, box_action(1), psi, mu_srw) == 0.0
 
     def test_indicator_not_harmonic(self, z_model, mu_srw):
         psi = {x: 1.0 if x == 0 else 0.0 for x in z_model.states}
-        assert harmonic_residual(z_model, psi, mu_srw) == pytest.approx(1.0)
+        assert harmonic_residual(z_model, box_action(1), psi, mu_srw) == \
+            pytest.approx(1.0)
 
 
 class TestReversibility:
@@ -311,6 +388,31 @@ class TestReversibility:
     def test_action_model_with_symmetric_law(self, z_model, mu_srw):
         assert verify_reversibility(z_model, mu_srw).passes
 
+    @pytest.mark.parametrize("case", [
+        "z1-box", "z2-box", "cycle", "cycle-2", "two-cycles", "funnel",
+        "weighted-rows"])
+    def test_equals_per_pair_loop(self, case):
+        model, mu, act = {
+            "z1-box": (build_lattice_model(1, 7), lattice_law((0.7, 0.3)),
+                       box_action(1)),
+            "z2-box": (build_lattice_model(2, 4),
+                       lattice_law((0.4, 0.1, 0.3, 0.2)), box_action(2)),
+            "cycle": (build_cycle_model(7), cycle_law(ASYMMETRIC),
+                      cycle_action(7)),
+            "cycle-2": (build_cycle_model(2), cycle_law(ASYMMETRIC),
+                        cycle_action(2)),
+            "two-cycles": (build_two_component_model(5),
+                           cycle_law(ASYMMETRIC), two_cycle_action(5)),
+            "funnel": (build_funnel_chain(FunnelChainSpec(
+                (0.7, 0.2), tail=("geometric", 0.5, 0.5),
+                truncation_size=30)), None, None),
+            "weighted-rows": (two_class_rows_model(), None, None),
+        }[case]
+        rep = verify_reversibility(model, mu)
+        worst = reversibility_oracle(model, mu, act)
+        assert rep.max_residual == worst
+        assert rep.passes == (worst <= kernel.DETAILED_BALANCE_TOL)
+
 
 class TestEvenReturnCurve:
     def test_srw_values(self, z_model, mu_srw):
@@ -339,6 +441,15 @@ class TestModelValidation:
     def test_needs_exactly_one_of_action_rows(self):
         with pytest.raises(ValueError):
             MarkovModel(states=[0], reference=ReferenceWeights(default=1.0))
+        with pytest.raises(ValueError):
+            MarkovModel(states=[0], reference=ReferenceWeights(default=1.0),
+                        neighbours=lambda g: np.zeros(1, np.intp),
+                        rows={0: {0: 1.0}})
+
+    def test_boundary_defaults_to_all_false(self):
+        m = build_cycle_model(5)
+        assert m.boundary.dtype == bool
+        assert m.boundary.tolist() == [False] * 5
 
     def test_reversible_claim_checked(self):
         with pytest.raises(ValueError):
@@ -455,6 +566,23 @@ class TestDensePath:
         assert dense == sparse
         assert "at step " in dense
 
+    @pytest.mark.parametrize("radius, n_max", [
+        (5, 500),       # trips the first block's check, redone sparsely
+        (41, 37)])      # trips past the last whole block
+    def test_even_return_curve_overflows_like_evolve(self, both_paths, mu_srw,
+                                                     radius, n_max):
+        m = build_lattice_model(1, radius)
+
+        def overflow():
+            with pytest.raises(TruncationOverflow) as info:
+                even_return_curve(m, 0, mu_srw, n_max)
+            return str(info.value)
+
+        dense, sparse = both_paths(overflow)
+        with pytest.raises(TruncationOverflow) as direct:
+            evolve(m, 0, mu_srw, 2 * n_max)
+        assert dense == sparse == str(direct.value)
+
     def test_back_and_forth_overflow_same_entry_and_message(self, both_paths):
         m = build_lattice_model(1, 25)
         mu = StepLaw(tuple((g, w) for g, w in zip(
@@ -497,20 +625,33 @@ def lattice_law(weights):
 
 class TestArrayKernel:
     """Neighbour-index assembly and array snapshots against the per-state
-    callable and the dict oracle."""
+    callables and the dict oracle."""
+
+    @staticmethod
+    def assert_assembly_equals_callable(model, act, law):
+        fast = model.transition_matrix(law)
+        slow = MarkovModel(states=model.states, reference=model.reference,
+                           neighbours=neighbours_from(model.states, act))
+        slow = slow.transition_matrix(law)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(fast, part), getattr(slow, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("radius", [2, 3, 17])
     @pytest.mark.parametrize("d, weights", [
         (1, (0.5, 0.5)), (1, (0.7, 0.3)),
         (2, (0.25,) * 4), (2, (0.4, 0.1, 0.3, 0.2))])
     def test_neighbour_assembly_equals_callable(self, d, weights, radius):
-        box = build_lattice_model(d, radius)
-        law = lattice_law(weights)
-        fast = box.transition_matrix(law)
-        slow = dataclasses.replace(box, neighbours=None).transition_matrix(law)
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(fast, part), getattr(slow, part)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        self.assert_assembly_equals_callable(
+            build_lattice_model(d, radius), box_action(d), lattice_law(weights))
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("law", [ASYMMETRIC, {"+1": 0.7, "-1": 0.3}])
+    def test_cycle_assembly_equals_callable(self, k, law):
+        self.assert_assembly_equals_callable(
+            build_cycle_model(k), cycle_action(k), cycle_law(law))
+        self.assert_assembly_equals_callable(
+            build_two_component_model(k), two_cycle_action(k), cycle_law(law))
 
     @pytest.mark.parametrize("d, radius, weights, start, horizon", [
         (1, 30, (0.5, 0.5), 0, 25),
@@ -520,11 +661,11 @@ class TestArrayKernel:
                                          horizon):
         box, law = build_lattice_model(d, radius), lattice_law(weights)
         series = evolve(box, start, law, horizon)
-        window = box.interior[::3] + [99]      # 99 is not a state
+        window = interior(box)[::3] + [99]      # 99 is not a state
         nu, acc = StateVector.dirac(start), {}
         for n in range(horizon + 1):
             if n:
-                nu = convolve_step(nu, law, box.action, prune_eps=0.0)
+                nu = convolve_step(nu, law, box_action(d), prune_eps=0.0)
             kept = {x: m for x, m in nu.entries.items()
                     if m >= kernel.SNAPSHOT_PRUNE}
             snap = series.snapshot(n)
@@ -594,13 +735,13 @@ class TestInvariantSetBatch:
     """``check_invariant_sets`` against the per-state oracle, set by set."""
 
     @staticmethod
-    def assert_matches_oracle(model, masks, mu=None, tol=1e-10):
+    def assert_matches_oracle(model, masks, mu=None, tol=1e-10, act=None):
         batch = check_invariant_sets(model, masks, mu, tol)
         raised = []
         for row, mask in enumerate(masks):
             A = [x for x, inside in zip(model.states, mask) if inside]
             try:
-                rep = invariant_set_oracle(model, A, mu, tol)
+                rep = invariant_set_oracle(model, A, mu, tol, act)
             except InconclusiveAtTruncation:
                 raised.append(row)
                 continue
@@ -622,9 +763,10 @@ class TestInvariantSetBatch:
     @pytest.mark.parametrize("law", [{"+1": 0.5, "-1": 0.5}, ASYMMETRIC,
                                      {"+1": 0.3, "-1": 0.3, "0": 0.4}])
     def test_cycles_every_subset(self, law):
-        for model in (build_cycle_model(8), build_two_component_model(4)):
+        for model, act in ((build_cycle_model(8), cycle_action(8)),
+                           (build_two_component_model(4), two_cycle_action(4))):
             batch = self.assert_matches_oracle(
-                model, subset_masks(8, range(256)), cycle_law(law))
+                model, subset_masks(8, range(256)), cycle_law(law), act=act)
             assert batch.invariant.sum() == (2 if model.name == "cycle-8"
                                              else 4)
 
@@ -632,7 +774,8 @@ class TestInvariantSetBatch:
         # a 2-cycle: +1 and -1 are the same bijection
         self.assert_matches_oracle(build_cycle_model(2),
                                    subset_masks(2, range(4)),
-                                   cycle_law({"+1": 0.5, "-1": 0.5}))
+                                   cycle_law({"+1": 0.5, "-1": 0.5}),
+                                   act=cycle_action(2))
 
     @pytest.mark.parametrize("tail", [("constant", 1.0),
                                       ("geometric", 0.5, 0.5),
@@ -649,12 +792,13 @@ class TestInvariantSetBatch:
         model = build_lattice_model(d, radius)
         n = model.n_states
         rng = np.random.default_rng(7)
-        inner = np.array([x not in model.boundary for x in model.states])
+        inner = ~model.boundary
         masks = np.concatenate([
             rng.random((150, n)) < 0.5,
             (rng.random((150, n)) < 0.5) & inner,        # avoid the edge
             [np.ones(n, bool), inner, np.zeros(n, bool)]])
-        batch = self.assert_matches_oracle(model, masks, srw_law(d))
+        batch = self.assert_matches_oracle(model, masks, srw_law(d),
+                                           act=box_action(d))
         assert batch.inconclusive[:150].sum() > 100
         assert not batch.inconclusive[150:].any()
         assert batch.set_measure[-3:].tolist() == [math.inf, math.inf, 0.0]
@@ -664,7 +808,8 @@ class TestInvariantSetBatch:
         # sides read 0, but the set touches the boundary
         model = build_lattice_model(2, 2)
         corner = np.array([[x == (2, 2) for x in model.states]])
-        batch = self.assert_matches_oracle(model, corner, srw_law(2))
+        batch = self.assert_matches_oracle(model, corner, srw_law(2),
+                                           act=box_action(2))
         assert batch.operator_residual[0] == 0.0
         assert all(r[0] == 0.0 for r in batch.generator_residuals.values())
         assert batch.inconclusive[0] and not batch.invariant[0]
@@ -678,10 +823,11 @@ class TestInvariantSetBatch:
     def test_preimage_leaving_raises_like_oracle(self):
         line = MarkovModel(states=list(range(5)),
                            reference=ReferenceWeights(default=1.0),
-                           action=lambda g, x: x + int(g))
+                           neighbours=neighbours_from(range(5), line_action))
         mu = StepLaw(((GeneratorId("1", "-1"), 0.5),
                       (GeneratorId("-1", "1"), 0.5)))
-        for check in (lambda: invariant_set_oracle(line, [2], mu),
+        for check in (lambda: invariant_set_oracle(line, [2], mu,
+                                                   act=line_action),
                       lambda: check_invariant_set(line, [2], mu),
                       lambda: check_invariant_sets(line, np.ones((3, 5), bool),
                                                    mu)):

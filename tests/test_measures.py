@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from massdrift.errors import MassdriftError
 from massdrift.measures import (GeneratorId, Observable, StateVector, StepLaw,
-                                invert_law, is_symmetric, pair, window_mass)
+                                invert_law, is_symmetric, pair)
 
 PLUS = GeneratorId("+1", "-1")
 MINUS = GeneratorId("-1", "+1")
@@ -162,28 +162,11 @@ class TestPairing:
         n1 = StateVector({0: 0.5, 1: 0.5})
         n2 = StateVector({1: 0.25, 2: 0.75})
         f = Observable({0: 1.0, 1: -3.0, 2: 2.0})
-        def scaled(nu, c):
-            return StateVector({x: c * m for x, m in nu.entries.items()})
-        combo = scaled(n1, a / 2).add(scaled(n2, b / 2))
+        combo = StateVector({x: a / 2 * n1.mass_at(x) + b / 2 * n2.mass_at(x)
+                             for x in (0, 1, 2)})
         assert math.isclose(pair(combo, f),
                             (a / 2) * pair(n1, f) + (b / 2) * pair(n2, f),
                             abs_tol=1e-12)
-
-
-class TestWindowMass:
-    def test_dirac(self):
-        assert window_mass(StateVector.dirac(0), [0]) == 1.0
-        assert window_mass(StateVector.dirac(0), []) == 0.0
-
-    def test_partial_window(self):
-        nu = StateVector({-2: 0.25, 0: 0.5, 2: 0.25})
-        assert window_mass(nu, range(-2, 1)) == 0.75
-
-    def test_monotone_in_window(self):
-        nu = StateVector({-2: 0.25, 0: 0.5, 2: 0.25})
-        small = window_mass(nu, range(-1, 2))
-        big = window_mass(nu, range(-2, 3))
-        assert small <= big
 
 
 class TestStateVector:

@@ -9,7 +9,7 @@ from massdrift.errors import (DegenerateBasis, PingPongViolation, SpecInvalid)
 from massdrift.kernel import evolve, verify_reversibility
 from massdrift.measures import GeneratorId, StepLaw
 from massdrift.models import (BooleOrbitSpec, FunnelChainSpec, SchottkyGroup,
-                              boole_map, boole_orbit, build_funnel_chain,
+                              boole_orbit, build_funnel_chain,
                               build_lattice_model, preimage_jacobian_sum,
                               srw_law)
 from massdrift.models.schottky import (INVERSE, LETTERS, core_distances,
@@ -171,9 +171,18 @@ def free_uniform_law() -> StepLaw:
 class TestLattice:
     def test_boundary_is_box_edge(self):
         m = build_lattice_model(2, 3)
-        assert (3, 0) in m.boundary
-        assert (3, -3) in m.boundary
-        assert (2, 2) not in m.boundary
+        assert m.boundary[m.index[(3, 0)]]
+        assert m.boundary[m.index[(3, -3)]]
+        assert not m.boundary[m.index[(2, 2)]]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("radius", [2, 3, 4, 5])
+    def test_boundary_mask_is_largest_coordinate_at_radius(self, d, radius):
+        m = build_lattice_model(d, radius)
+        edge = [max(abs(c) for c in (x if d == 2 else (x,))) == radius
+                for x in m.states]
+        assert m.boundary.dtype == bool
+        assert m.boundary.tolist() == edge
 
     def test_counting_measure_flagged_infinite(self):
         m = build_lattice_model(1, 5)
@@ -235,11 +244,6 @@ class TestFunnelChain:
 
 
 class TestBooleMap:
-    def test_pointwise_values(self):
-        assert boole_map(1.0) == 0.0
-        assert boole_map(2.0) == 1.5
-        assert boole_map(-2.0) == -1.5
-
     def test_jacobian_sum_is_one(self):
         for x in (0.3, 1.7, -2.4):
             assert preimage_jacobian_sum(x) == pytest.approx(1.0, abs=1e-12)
